@@ -3,7 +3,7 @@ algebra on the plane and its Whittaker module theory."""
 
 __version__ = "0.1.0"
 
-from .base import Poly2, Scalar, binom2, poly_mul, poly_shift
+from .base import Poly2, Scalar, binom2
 from .lie import (
     Sbar,
     VectorField,
@@ -16,16 +16,14 @@ from .lie import (
     vf_bracket,
     vf_to_sbar,
 )
-from .weyl import A2aVector, TensorAlg, Weyl, a2a_act, phi_L, phi_d2, phi_hom_check, phi_t, weyl_mul
+from .weyl import A2aVector, TensorAlg, Weyl, a2a_act, phi_L, phi_d2, phi_hom_check, phi_t
 from .enveloping import (
     Loc,
     Q1,
     UEnv,
-    loc_mul,
     pbw_normalize,
     q1_act,
     reduce_mod_I1,
-    u_mul,
 )
 from .gl2 import Gl2Module, Gl2Poly, gl2_simple, pi_iso
 from .tmodule import (

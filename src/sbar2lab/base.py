@@ -28,6 +28,38 @@ def as_scalar(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
 
 
+def accumulate(acc: dict, key, c) -> None:
+    """Add ``c`` to ``acc[key]``, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    else:
+        acc.pop(key, None)
+
+
+def terms_str(pairs) -> str:
+    """Print sorted ``(body, coefficient)`` pairs as a signed sum.
+
+    A body of "1" prints as its bare coefficient; a body containing spaces is
+    compound, so a coefficient other than +-1 brackets it.
+    """
+    parts = []
+    for body, c in pairs:
+        if body == "1":
+            parts.append(str(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        elif " " in body:
+            parts.append(f"{c}*[{body}]")
+        else:
+            parts.append(f"{c}*{body}")
+    if not parts:
+        return "0"
+    return " + ".join(parts).replace("+ -", "- ")
+
+
 def comb0(n: int, k: int) -> int:
     """Binomial coefficient with C(n, k) = 0 whenever k < 0 or k > n."""
     if k < 0 or k > n:
@@ -90,15 +122,11 @@ class LinComb:
             c = as_scalar(c)
             if not c:
                 continue
-            prev = acc.get(key)
-            if prev is None:
-                acc[key] = c
+            # repeated keys are rare, so only they pay for the call
+            if key in acc:
+                accumulate(acc, key, c)
             else:
-                s = prev + c
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+                acc[key] = c
         self.terms = acc
 
     # subclasses carrying metadata override this construction hook
@@ -132,11 +160,7 @@ class LinComb:
             return NotImplemented
         merged = dict(self.terms)
         for key, c in other.terms.items():
-            s = merged.get(key, 0) + c
-            if s:
-                merged[key] = s
-            else:
-                merged.pop(key, None)
+            accumulate(merged, key, c)
         return self._new(merged)
 
     def __sub__(self, other):
@@ -160,13 +184,7 @@ class LinComb:
         if isinstance(other, (int, Fraction)):
             return self._scale(other)
         if type(other) is type(self):
-            out = []
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    c = c1 * c2
-                    for key, f in self._key_mul(k1, k2):
-                        out.append((key, c * f))
-            return self._new(out)
+            return bilinear(self, other, self._key_mul, self._new)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -263,36 +281,18 @@ class Poly2(LinComb):
         return self.coeff((0, 0))
 
     def to_str(self, sym1: str = "t1", sym2: str = "t2") -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp in sorted(self.terms, key=lambda e: (mtotal(e), e)):
-            c = self.terms[exp]
+        def body(exp):
             factors = []
             for s, e in ((sym1, exp[0]), (sym2, exp[1])):
                 if e == 1:
                     factors.append(s)
                 elif e > 1:
                     factors.append(f"{s}^{e}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+            return "*".join(factors) or "1"
+
+        order = sorted(self.terms, key=lambda e: (mtotal(e), e))
+        return terms_str((body(e), self.terms[e]) for e in order)
 
     def __str__(self):
         return self.to_str()
 
-
-def poly_mul(p: Poly2, q: Poly2) -> Poly2:
-    return p * q
-
-
-def poly_shift(p: Poly2, delta: MultiIndex) -> Poly2:
-    return p.shift(delta)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .base import MultiIndex, Poly2, binom2, mtotal
+from .base import MultiIndex, Poly2, accumulate, binom2, mtotal
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
 from .gl2 import Gl2Module, Gl2Poly, Matrix, gl2_simple, pi_env
 from .linalg import EchelonSpan, solve
@@ -121,12 +121,7 @@ def y_element(alpha: MultiIndex) -> Loc:
     out: dict = {}
     for env, beta in y_terms(alpha):
         for word, c in env.terms.items():
-            key = (word, beta)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (word, beta), c)
     return Loc(out)
 
 

@@ -20,7 +20,7 @@ from .expr import eval_loc, eval_phi, eval_seed, parse_element
 from .gl2 import gl2_simple
 from .report import emit_report
 from .suites import run_suite, suite_names
-from .tmodule import TVector, closure_probe, uh_freeness_check, whittaker_space
+from .tmodule import closure_probe, random_seed_vector, uh_freeness_check, whittaker_space
 
 
 def _pair(text: str, name: str) -> tuple:
@@ -90,18 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _random_seed_vector(module, a, rng) -> TVector:
-    terms = {}
-    while not terms:
-        for b1 in range(3):
-            for b2 in range(3 - b1):
-                for k in range(module.dim):
-                    c = rng.randrange(-2, 3)
-                    if c:
-                        terms[((b1, b2), k)] = Fraction(c)
-    return TVector(terms, a=a, module=module)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -147,7 +135,7 @@ def main(argv=None) -> int:
             module = gl2_simple(args.lam)
             a = args.a
             if args.seed_expr.strip() == "random":
-                seed_vec = _random_seed_vector(module, a, random.Random(args.seed))
+                seed_vec = random_seed_vector(module, a, random.Random(args.seed))
             else:
                 seed_vec = eval_seed(parse_element(args.seed_expr), module, a)
             report = closure_probe(module, a, seed_vec, args.degree, args.gen_degree)

@@ -19,8 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from .base import LinComb, MultiIndex, as_scalar, gbinom
+from .base import LinComb, MultiIndex, accumulate, as_scalar, gbinom, terms_str
 from .lie import (
+    _AD_CAP,
     D2,
     L_letter,
     Letter,
@@ -37,9 +38,6 @@ Word = tuple[Letter, ...]
 
 class NilpotencyGuardError(RuntimeError):
     """An ad-expansion or inverse series exceeded its iteration cap (a bug)."""
-
-
-_AD_CAP = 64
 
 
 def pbw_engine(bracket):
@@ -68,11 +66,7 @@ def _merge(acc: dict, other: dict, c: Fraction) -> None:
     if not c:
         return
     for key, v in other.items():
-        s = acc.get(key, 0) + c * v
-        if s:
-            acc[key] = s
-        else:
-            acc.pop(key, None)
+        accumulate(acc, key, c * v)
 
 
 _nf = pbw_engine(letter_bracket)
@@ -132,25 +126,11 @@ class UEnv(LinComb):
         return any(is_partial_letter(l) for w in self.terms for l in w)
 
     def __str__(self):
-        return _comb_str(self.terms, word_str)
+        return _sorted_str(self.terms, word_str)
 
 
-def _comb_str(terms: dict, key_str) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for key in sorted(terms):
-        c = terms[key]
-        body = key_str(key)
-        if body == "1":
-            parts.append(str(c))
-        elif c == 1:
-            parts.append(body)
-        elif c == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{c}*{body}")
-    return " + ".join(parts).replace("+ -", "- ")
+def _sorted_str(terms: dict, key_str) -> str:
+    return terms_str((key_str(key), terms[key]) for key in sorted(terms))
 
 
 def pbw_normalize(seq, c=1) -> UEnv:
@@ -169,11 +149,7 @@ def pbw_normalize_schedule(seq, rng, c=1) -> UEnv:
         word, coeff = pending.pop(rng.randrange(len(pending)))
         bad = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
         if not bad:
-            s = done.get(word, 0) + coeff
-            if s:
-                done[word] = s
-            else:
-                done.pop(word, None)
+            accumulate(done, word, coeff)
             continue
         i = bad[rng.randrange(len(bad))]
         x, y = word[i], word[i + 1]
@@ -181,10 +157,6 @@ def pbw_normalize_schedule(seq, rng, c=1) -> UEnv:
         for letter, k in letter_bracket(x, y):
             pending.append((word[:i] + (letter,) + word[i + 2:], coeff * k))
     return UEnv(done)
-
-
-def u_mul(x: UEnv, y: UEnv) -> UEnv:
-    return x * y
 
 
 def split_tail_partials(word: Word) -> tuple[Word, int, int, int]:
@@ -219,12 +191,7 @@ class Loc(LinComb):
         out: dict = {}
         for word, c in x.terms.items():
             head, m1, m2, sign = split_tail_partials(word)
-            key = (head, (m1, m2))
-            s = out.get(key, 0) + sign * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (head, (m1, m2)), sign * c)
         return cls(out)
 
     @classmethod
@@ -237,11 +204,7 @@ class Loc(LinComb):
             if m1 < 0 or m2 < 0:
                 raise ValueError("element has negative constant-field exponents")
             word = head + (P1_LETTER,) * m1 + (P2_LETTER,) * m2
-            s = out.get(word, 0) + (-1) ** m2 * c
-            if s:
-                out[word] = s
-            else:
-                out.pop(word, None)
+            accumulate(out, word, (-1) ** m2 * c)
         return UEnv(out)
 
     def _key_mul(self, k1: LocKey, k2: LocKey):
@@ -268,7 +231,7 @@ class Loc(LinComb):
                 parts.append("p2" if m2 == 1 else f"p2^{m2}")
             return "*".join(parts) if parts else "1"
 
-        return _comb_str(self.terms, key_str)
+        return _sorted_str(self.terms, key_str)
 
 
 def _ad_partial(i: int, x: UEnv) -> UEnv:
@@ -308,17 +271,8 @@ def _partials_past_word(m: MultiIndex, word: Word) -> dict:
                 continue
             for w, c in u2.terms.items():
                 head, a1, a2, sign = split_tail_partials(w)
-                key = (head, (m[0] - k1 + a1, m[1] - k2 + a2))
-                s = out.get(key, 0) + sign * b1 * b2 * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                accumulate(out, (head, (m[0] - k1 + a1, m[1] - k2 + a2)), sign * b1 * b2 * c)
     return out
-
-
-def loc_mul(x: Loc, y: Loc) -> Loc:
-    return x * y
 
 
 class Q1(LinComb):
@@ -336,10 +290,7 @@ class Q1(LinComb):
         return UEnv(dict(self.terms))
 
     def __str__(self):
-        def key_str(word):
-            return "1" if not word else word_str(word)
-
-        body = _comb_str(self.terms, key_str)
+        body = _sorted_str(self.terms, word_str)
         if len(self.terms) > 1:
             body = f"({body})"
         return body + " * v1"
@@ -352,26 +303,51 @@ def reduce_mod_I1(x: UEnv) -> Q1:
     out: dict = {}
     for word, c in x.terms.items():
         head, _m1, _m2, sign = split_tail_partials(word)
-        s = out.get(head, 0) + sign * c
-        if s:
-            out[head] = s
-        else:
-            out.pop(head, None)
+        accumulate(out, head, sign * c)
     return Q1(out)
 
 
-def _q1_partial_inverse(i: int, q: Q1) -> Q1:
-    """Action of p_i^(-1): the geometric series in (p_i - 1), finite because
-    p_i - 1 strictly lowers the filtration degree on the module (guarded)."""
-    p = UEnv.partial(i)
-    total = q
-    term = q
+def partial_inverse(i: int, v, partial, s):
+    """p_i^(-1) v for a module on which p_i acts as the nonzero scalar ``s``
+    plus a part that is nilpotent on v: the geometric series
+
+        p_i^(-1) v = s^(-1) sum_n (-(p_i - s)/s)^n v,
+
+    finite because p_i - s strictly lowers a filtration degree (guarded).
+    ``partial(i, v)`` is the module's action of p_i."""
+    inv = 1 / as_scalar(s)
+    term = v * inv
+    total = term
     for _ in range(_AD_CAP):
-        term = term - reduce_mod_I1(p * term.lift())
+        term = (partial(i, term) - term * s) * -inv
         if term.is_zero():
             return total
         total = total + term
-    raise NilpotencyGuardError("p_i - 1 series failed to terminate on the module")
+    raise NilpotencyGuardError(f"p_{i} inverse series failed to terminate on the module")
+
+
+def loc_act(x: Loc, v, partial, word_act, scalars):
+    """Left action of a localized element on a module vector: for each term,
+    the p2 then p1 powers act first (negative powers through the inverse
+    series), then the head word. ``partial(i, v)`` and ``word_act(word, v)``
+    are the module's actions, and p_i acts as ``scalars[i - 1]`` plus a
+    locally nilpotent part."""
+    out = v._new({})
+    for (head, (m1, m2)), c in x.terms.items():
+        u = v
+        for i, m in ((2, m2), (1, m1)):
+            for _ in range(abs(m)):
+                u = partial(i, u) if m > 0 else partial_inverse(i, u, partial, scalars[i - 1])
+        out = out + word_act(head, u) * c
+    return out
+
+
+def _q1_partial(i: int, q: Q1) -> Q1:
+    return reduce_mod_I1(UEnv.partial(i) * q.lift())
+
+
+def _q1_word(word: Word, q: Q1) -> Q1:
+    return reduce_mod_I1(UEnv({word: Fraction(1)}) * q.lift())
 
 
 def q1_act(x, q: Q1) -> Q1:
@@ -379,17 +355,5 @@ def q1_act(x, q: Q1) -> Q1:
     if isinstance(x, UEnv):
         return reduce_mod_I1(x * q.lift())
     if isinstance(x, Loc):
-        out = Q1()
-        for (head, (m1, m2)), c in x.terms.items():
-            v = q
-            for i, m in ((2, m2), (1, m1)):
-                if m >= 0:
-                    for _ in range(m):
-                        v = reduce_mod_I1(UEnv.partial(i) * v.lift())
-                else:
-                    for _ in range(-m):
-                        v = _q1_partial_inverse(i, v)
-            v = reduce_mod_I1(UEnv({head: Fraction(1)}) * v.lift())
-            out = out + v * c
-        return out
+        return loc_act(x, q, _q1_partial, _q1_word, (1, 1))
     raise TypeError(f"cannot act with {type(x).__name__} on the module")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import LinComb, as_scalar
+from .base import LinComb, as_scalar, terms_str
 from .enveloping import pbw_engine
 from .lie import D2, Sbar, letter_alpha, letter_degree
 
@@ -150,21 +150,8 @@ class Gl2Poly(LinComb):
         return out
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms, key=lambda w: (len(w), tuple(_GL_RANK[l] for l in w))):
-            c = self.terms[word]
-            body = "*".join(f"E{i}{j}" for i, j in word) or "1"
-            if body == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        order = sorted(self.terms, key=lambda w: (len(w), tuple(_GL_RANK[l] for l in w)))
+        return terms_str(("*".join(f"E{i}{j}" for i, j in w) or "1", self.terms[w]) for w in order)
 
 
 _PI_TABLE = {

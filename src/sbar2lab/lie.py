@@ -27,6 +27,7 @@ from .base import (
     LinComb,
     MultiIndex,
     Poly2,
+    accumulate,
     as_scalar,
     bilinear,
     in_phi,
@@ -34,6 +35,7 @@ from .base import (
     madd,
     msub,
     mtotal,
+    terms_str,
 )
 
 Letter = tuple[int, int, int, int]
@@ -129,20 +131,12 @@ class VectorField(LinComb):
         return cls.monomial(E1 if i == 1 else E2, i)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (exp, i) in sorted(self.terms, key=lambda k: (mtotal(k[0]), k[0], k[1])):
-            c = self.terms[(exp, i)]
-            body = Poly2.monomial(exp).to_str()
-            body = f"p{i}" if body == "1" else f"{body}*p{i}"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        def body(exp, i):
+            mono = Poly2.monomial(exp).to_str()
+            return f"p{i}" if mono == "1" else f"{mono}*p{i}"
+
+        order = sorted(self.terms, key=lambda k: (mtotal(k[0]), k[0], k[1]))
+        return terms_str((body(*key), self.terms[key]) for key in order)
 
 
 def _vf_key_bracket(k1, k2):
@@ -214,19 +208,7 @@ class Sbar(LinComb):
         return cls({L_letter((0, 0)): Fraction(1), D2: Fraction(2)})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for letter in sorted(self.terms):
-            c = self.terms[letter]
-            body = letter_str(letter)
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return terms_str((letter_str(letter), self.terms[letter]) for letter in sorted(self.terms))
 
 
 def sbar_bracket(x: Sbar, y: Sbar) -> Sbar:
@@ -256,20 +238,14 @@ def vf_to_sbar(x: VectorField) -> Sbar:
             continue
         alpha = msub(exp, E1)
         lead = Fraction(c, 1 + alpha[1])
-        letter = L_letter(alpha)
-        coords[letter] = coords.get(letter, Fraction(0)) + lead
-        for key, cc in (l_basis(alpha) * lead).terms.items():
-            s = remainder.get(key, Fraction(0)) - cc
-            if s:
-                remainder[key] = s
-            else:
-                remainder.pop(key, None)
+        accumulate(coords, L_letter(alpha), lead)
+        for key, cc in (l_basis(alpha) * -lead).terms.items():
+            accumulate(remainder, key, cc)
     for (exp, i), c in remainder.items():
         if exp == E2:  # t2 d/dt_2 = d2
-            coords[D2] = coords.get(D2, Fraction(0)) + c
+            accumulate(coords, D2, c)
         elif exp[1] == 0:  # t1^k d/dt_2 = -L_(k,-1)/(k+1)
-            letter = L_letter((exp[0], -1))
-            coords[letter] = coords.get(letter, Fraction(0)) - Fraction(c, exp[0] + 1)
+            accumulate(coords, L_letter((exp[0], -1)), -Fraction(c, exp[0] + 1))
         else:
             div = divergence(x)
             detail = "non-constant divergence" if not div.is_constant() else f"stray term t^{exp}*p2"
@@ -289,6 +265,7 @@ def scaling_twist(a: tuple, x: VectorField) -> VectorField:
     return VectorField(out)
 
 
+#: iteration cap of every ad-expansion and inverse series; exceeding it is a bug
 _AD_CAP = 64
 
 

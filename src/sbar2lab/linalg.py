@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .base import as_scalar
+from .base import accumulate, as_scalar
 
 
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot column indices)."""
-    m = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot column indices).
+
+    Entries are coerced to exact rationals, so int rows give Fraction results
+    and float rows are rejected."""
+    m = [[as_scalar(x) for x in r] for r in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -105,16 +108,12 @@ class EchelonSpan:
             # cancelling a pivot introduces only non-pivot keys, so the
             # number of pivot coordinates in the support strictly drops
             pivot = min(hits, key=self._key_rank)
-            f = v.pop(pivot)
+            f = -v.pop(pivot)
             row = self._rows[pivot]
             for k, c in row.items():
                 if k == pivot:
                     continue
-                s = v.get(k, 0) - f * c
-                if s:
-                    v[k] = s
-                else:
-                    v.pop(k, None)
+                accumulate(v, k, f * c)
         return v
 
     def add(self, vec: dict):
@@ -128,12 +127,9 @@ class EchelonSpan:
         for other in self._rows.values():
             f = other.get(pivot)
             if f:
+                f = -f
                 for k, c in row.items():
-                    s = other.get(k, 0) - f * c
-                    if s:
-                        other[k] = s
-                    else:
-                        other.pop(k, None)
+                    accumulate(other, k, f * c)
         self._rows[pivot] = row
         return row
 

@@ -2,23 +2,19 @@
 
 Every suite builds a list of named cases with thunks and a formula-style
 anchor describing the identity being exercised; ``run_suite`` evaluates them
-(optionally fanning out over SBAR2LAB_WORKERS threads; all values involved
-are immutable) and merges the records by case name, so reports do not depend
-on the worker count. Randomized sweeps draw from a Random seeded with the
-reported seed.
+and sorts the records by case name. Randomized sweeps draw from a Random
+seeded with the reported seed.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .base import Poly2, mtotal
+from .base import Poly2, accumulate, mtotal
 from .centralizer import (
     H_GENERATORS,
     centralizer_check,
@@ -59,6 +55,7 @@ from .tmodule import (
     act_sbar,
     closure_probe,
     joint_kernel,
+    random_seed_vector,
     sigma_act,
     uh_freeness_check,
     whittaker_space,
@@ -466,11 +463,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
                     ).terms
                     cache[(letter, key)] = res
                 for k2, c2 in res.items():
-                    s = out.get(k2, 0) + c * c2
-                    if s:
-                        out[k2] = s
-                    else:
-                        out.pop(k2, None)
+                    accumulate(out, k2, c * c2)
             return out
 
         def annihilates(m: int) -> bool:
@@ -497,11 +490,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
                                 piece = letter_on(L_letter(first), inners[i])
                                 coeff = (-1) ** i * comb0(m, i)
                                 for k2, c2 in piece.items():
-                                    s = total.get(k2, 0) + coeff * c2
-                                    if s:
-                                        total[k2] = s
-                                    else:
-                                        total.pop(k2, None)
+                                    accumulate(total, k2, coeff * c2)
                             if total:
                                 return False
             return True
@@ -801,16 +790,7 @@ def _suite_closure(max_degree: int, rng) -> list:
 
         def thunk(lam=lam, draw=local.randrange(1 << 30)):
             module = gl2_simple(lam)
-            seed_rng = random.Random(draw)
-            terms = {}
-            while not terms:
-                for b1 in range(3):
-                    for b2 in range(3 - b1):
-                        for k in range(module.dim):
-                            c = seed_rng.randrange(-2, 3)
-                            if c:
-                                terms[((b1, b2), k)] = Fraction(c)
-            seed = TVector(terms, a=(1, 1), module=module)
+            seed = random_seed_vector(module, (1, 1), random.Random(draw))
             report = closure_probe(module, (1, 1), seed, max_degree, gen_degree)
             status = PASS if report["full"] else FAIL
             return status, {"table": {str(k): list(v) for k, v in report["table"].items()}}
@@ -865,26 +845,19 @@ def suite_names() -> list[str]:
 
 
 def run_suite(name: str, max_degree: int | None = None, seed: int = 0) -> SuiteReport:
-    """Execute one suite deterministically; unknown names raise ValueError."""
+    """Execute one suite deterministically; an unknown name or a negative
+    degree raises ValueError."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; available: {', '.join(suite_names())}")
     builder, default_degree = SUITES[name]
     degree = default_degree if max_degree is None else max_degree
+    if degree < 0:
+        raise ValueError(f"max degree must be nonnegative, got {degree}")
     rng = random.Random(seed)
     started = time.perf_counter()
-    specs = builder(degree, rng)
-
-    workers = int(os.environ.get("SBAR2LAB_WORKERS", "1") or "1")
-
-    def run_one(spec):
-        case_name, anchor, provenance, thunk = spec
+    cases = []
+    for case_name, anchor, provenance, thunk in builder(degree, rng):
         status, witness = thunk()
-        return Case(case_name, anchor, provenance, status, witness)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cases = list(pool.map(run_one, specs))
-    else:
-        cases = [run_one(spec) for spec in specs]
+        cases.append(Case(case_name, anchor, provenance, status, witness))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return SuiteReport(name, seed, __version__, sorted(cases, key=lambda c: c.name), elapsed_ms)

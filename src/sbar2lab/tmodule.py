@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base import E1, E2, LinComb, MultiIndex, comb0, madd, msub, mtotal
-from .enveloping import Loc, NilpotencyGuardError, UEnv, Word, _AD_CAP
+from .base import E1, E2, LinComb, MultiIndex, Poly2, accumulate, comb0, madd, msub, mtotal, terms_str
+from .enveloping import Loc, UEnv, Word, loc_act
 from .gl2 import Gl2Module, mat_mul, mat_identity, pi_letter
 from .lie import D2, L_letter, Letter, Sbar, l_basis, letter_degree
 from .linalg import EchelonSpan, nullspace
@@ -73,25 +73,12 @@ class TVector(LinComb):
         return max(mtotal(b) for b, _ in self.terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (beta, k) in sorted(self.terms, key=lambda key: (mtotal(key[0]), key[0], key[1])):
-            c = self.terms[(beta, k)]
-            mono = []
-            for sym, e in (("t1", beta[0]), ("t2", beta[1])):
-                if e == 1:
-                    mono.append(sym)
-                elif e > 1:
-                    mono.append(f"{sym}^{e}")
-            body = ("*".join(mono) + "*" if mono else "") + f"v{k}"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        def body(beta, k):
+            mono = Poly2.monomial(beta).to_str()
+            return f"v{k}" if mono == "1" else f"{mono}*v{k}"
+
+        order = sorted(self.terms, key=lambda key: (mtotal(key[0]), key[0], key[1]))
+        return terms_str((body(*key), self.terms[key]) for key in order)
 
 
 # recipe: letter -> (field part [(gamma, i, coeff)], gl part [(shift, (i,j), coeff)])
@@ -127,26 +114,18 @@ def act_letter(letter: Letter, w: TVector) -> TVector:
     fields, gl = _letter_recipe(letter)
     a = w.a
     out: dict = {}
-
-    def put(key, c):
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     for (beta, k), c in w.terms.items():
         for gamma, i, f in fields:
             e = beta[i - 1]
             if e:
-                put((madd(msub(beta, E1 if i == 1 else E2), gamma), k), c * f * e)
+                accumulate(out, (madd(msub(beta, E1 if i == 1 else E2), gamma), k), c * f * e)
             ai = a[i - 1]
             if ai:
-                put((madd(beta, gamma), k), c * f * ai)
+                accumulate(out, (madd(beta, gamma), k), c * f * ai)
         for shift, ij, g in gl:
             exp = madd(beta, shift)
             for kk, m in w.module.column(ij, k):
-                put((exp, kk), c * g * m)
+                accumulate(out, (exp, kk), c * g * m)
     return w._new(out)
 
 
@@ -177,59 +156,20 @@ def act_partial(i: int, w: TVector) -> TVector:
     for (beta, k), c in w.terms.items():
         e = beta[i - 1]
         if e:
-            key = (msub(beta, E1 if i == 1 else E2), k)
-            s = out.get(key, 0) + c * e
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (msub(beta, E1 if i == 1 else E2), k), c * e)
         if ai:
-            key = (beta, k)
-            s = out.get(key, 0) + c * ai
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (beta, k), c * ai)
     return w._new(out)
 
 
-def act_partial_inverse(i: int, w: TVector) -> TVector:
-    """Inverse of the shifted derivative; needs a_i != 0, and the geometric
-    series in the plain derivative is finite on polynomials."""
-    ai = w.a[i - 1]
-    if not ai:
-        raise ValueError(f"localized action needs a_{i} != 0")
-    inv = 1 / ai
-    term = w * inv
-    total = term
-    for _ in range(_AD_CAP):
-        diffed: dict = {}
-        for (beta, k), c in term.terms.items():
-            e = beta[i - 1]
-            if e:
-                key = (msub(beta, E1 if i == 1 else E2), k)
-                diffed[key] = diffed.get(key, 0) + c * e
-        term = w._new(diffed) * (-inv)
-        if term.is_zero():
-            return total
-        total = total + term
-    raise NilpotencyGuardError("derivative series failed to terminate on polynomials")
-
-
 def act_loc(x: Loc, w: TVector) -> TVector:
-    out = w._new({})
-    for (head, (m1, m2)), c in x.terms.items():
-        v = w
-        for i, m in ((2, m2), (1, m1)):
-            if m >= 0:
-                for _ in range(m):
-                    v = act_partial(i, v)
-            else:
-                for _ in range(-m):
-                    v = act_partial_inverse(i, v)
-        v = act_word(head, v)
-        out = out + v * c
-    return out
+    """Localized action; d/dt_i acts as a_i plus the nilpotent plain
+    derivative, so a negative power needs a_i != 0."""
+    for _head, m in x.terms:
+        for i in (2, 1):
+            if m[i - 1] < 0 and not w.a[i - 1]:
+                raise ValueError(f"localized action needs a_{i} != 0")
+    return loc_act(x, w, act_partial, act_word, w.a)
 
 
 def t_act(x, w: TVector) -> TVector:
@@ -284,10 +224,23 @@ def act_tensoralg(el, w: TVector) -> TVector:
                 texp = madd(bexp, te)
                 for kk in range(module.dim):
                     if mat[kk][k]:
-                        key = (texp, kk)
-                        acc[key] = acc.get(key, 0) + bc * mat[kk][k]
+                        accumulate(acc, (texp, kk), bc * mat[kk][k])
         out = out + w._new(acc) * c
     return out
+
+
+def random_seed_vector(module: Gl2Module, a, rng) -> TVector:
+    """Random nonzero vector with coefficients in [-2, 2] on the polynomial
+    degrees <= 2, drawn from ``rng`` in a fixed key order."""
+    terms = {}
+    while not terms:
+        for b1 in range(3):
+            for b2 in range(3 - b1):
+                for k in range(module.dim):
+                    c = rng.randrange(-2, 3)
+                    if c:
+                        terms[((b1, b2), k)] = Fraction(c)
+    return TVector(terms, a=a, module=module)
 
 
 def slice_keys(module: Gl2Module, degree: int) -> list[TKey]:
@@ -317,11 +270,12 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     index = {key: pos for pos, key in enumerate(keys)}
     rows: list[list[Fraction]] = []
     for op, scalar in ops:
+        minus_scalar = -scalar
         cols = []
         for key in keys:
             v = op(TVector({key: Fraction(1)}, a=a, module=module))
             coords = dict(v.terms)
-            coords[key] = coords.get(key, Fraction(0)) - scalar
+            accumulate(coords, key, minus_scalar)
             if any(k not in index for k in coords):
                 raise ValueError("operator left the degree slice")
             cols.append(coords)

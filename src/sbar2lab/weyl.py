@@ -35,6 +35,7 @@ from .base import (
     madd,
     msub,
     mtotal,
+    terms_str,
 )
 from .enveloping import UEnv, Word, _nf, word_str
 from .lie import (
@@ -95,31 +96,13 @@ class Weyl(LinComb):
         return cls({(exp, (1, 0) if i == 1 else (0, 1)): c for (exp, i), c in x.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (te, de) in sorted(self.terms):
-            c = self.terms[(te, de)]
-            factors = []
-            for sym, e in (("t1", te[0]), ("t2", te[1]), ("p1", de[0]), ("p2", de[1])):
-                if e == 1:
-                    factors.append(sym)
-                elif e > 1:
-                    factors.append(f"{sym}^{e}")
-            body = "*".join(factors) or "1"
-            if body == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return terms_str((_weyl_key_str(key), self.terms[key]) for key in sorted(self.terms))
 
 
-def weyl_mul(x: Weyl, y: Weyl) -> Weyl:
-    return x * y
+def _weyl_key_str(key: WeylKey) -> str:
+    te, de = key
+    parts = (Poly2.monomial(te).to_str(), Poly2.monomial(de).to_str("p1", "p2"))
+    return "*".join(p for p in parts if p != "1") or "1"
 
 
 class A2aVector:
@@ -196,20 +179,10 @@ class TensorAlg(LinComb):
         return cls({(cls.unit_key[0], w): c for w, c in u.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (wk, word) in sorted(self.terms):
-            c = self.terms[(wk, word)]
-            left = str(Weyl({wk: Fraction(1)}))
-            body = f"{left} (x) {word_str(word)}"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*[{body}]")
-        return " + ".join(parts).replace("+ -", "- ")
+        return terms_str(
+            (f"{_weyl_key_str(wk)} (x) {word_str(word)}", self.terms[(wk, word)])
+            for wk, word in sorted(self.terms)
+        )
 
 
 def phi_t(beta: MultiIndex) -> TensorAlg:

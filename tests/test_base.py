@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom, poly_mul, poly_shift
+from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom
 
 
 def p(terms):
@@ -15,19 +15,19 @@ def test_poly_mul_examples():
     assert d1 * d2 == Poly2.monomial((1, 1))
     one = Poly2.one()
     q = p({(2, 1): Fraction(3, 2), (0, 0): Fraction(-1)})
-    assert poly_mul(one, q) == q
+    assert one * q == q
     # (d1 + 1) d1 = d1^2 + d1
     assert (d1 + one) * d1 == p({(2, 0): 1, (1, 0): 1})
 
 
 def test_poly_shift_examples():
     d1 = Poly2.variable(1)
-    assert poly_shift(d1, (1, 0)) == d1 + Poly2.one()
+    assert d1.shift((1, 0)) == d1 + Poly2.one()
     d1d2 = Poly2.monomial((1, 1))
-    assert poly_shift(d1d2, (1, 1)) == p({(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1})
+    assert d1d2.shift((1, 1)) == p({(1, 1): 1, (1, 0): 1, (0, 1): 1, (0, 0): 1})
     # shifting the tail polynomial of the first distinguished centralizer index
     g0 = p({(2, 0): -1, (1, 0): -1})  # -(d1+1)d1
-    shifted = poly_shift(g0, (1, 0))
+    shifted = g0.shift((1, 0))
     assert shifted == p({(2, 0): -1, (1, 0): -3, (0, 0): -2})  # -(d1+2)(d1+1)
 
 

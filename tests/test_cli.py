@@ -52,7 +52,9 @@ def test_closure_seed_expr(capsys):
         ]
     )
     assert rc == 0
-    assert "verdict: full" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "seed = 2*v0 + 2*t1*v0 - 2*t1*t2*v0 + t1^2*v0\n" in out
+    assert "verdict: full" in out
 
 
 def test_verify_json_report(tmp_path, capsys):
@@ -69,6 +71,17 @@ def test_verify_json_report(tmp_path, capsys):
     assert list(doc["cases"][0]) == ["name", "paper_anchor", "provenance", "status", "witness"]
     names = [c["name"] for c in doc["cases"]]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("suite", ["whittaker-dim", "g-recurrence", "xi-whittaker", "freeness"])
+def test_negative_degree_is_rejected(suite):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_suite(suite, -3)
+
+
+def test_verify_negative_degree_exits_2(capsys):
+    assert main(["verify", "freeness", "--max-degree", "-3"]) == 2
+    assert "max degree must be nonnegative" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite():

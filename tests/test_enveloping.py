@@ -7,13 +7,11 @@ from sbar2lab.enveloping import (
     Loc,
     Q1,
     UEnv,
-    loc_mul,
     pbw_normalize,
     pbw_normalize_schedule,
     q1_act,
     reduce_mod_I1,
     split_tail_partials,
-    u_mul,
 )
 from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER
 from sbar2lab.linalg import EchelonSpan
@@ -61,16 +59,16 @@ def test_diamond_property():
 def test_u_mul():
     rng = random.Random(9)
     x = rand_uenv(rng)
-    assert u_mul(UEnv.one(), x) == x
+    assert UEnv.one() * x == x
     # p1 d1 = d1 p1 + p1 in the letter basis
-    got = u_mul(UEnv.partial(1), UEnv.d1())
-    expect = u_mul(UEnv.d1(), UEnv.partial(1)) + UEnv.partial(1)
+    got = UEnv.partial(1) * UEnv.d1()
+    expect = UEnv.d1() * UEnv.partial(1) + UEnv.partial(1)
     assert got == expect
     single = UEnv.L((0, 0))
-    assert u_mul(single, single) == UEnv({(L_letter((0, 0)), L_letter((0, 0))): Fraction(1)})
+    assert single * single == UEnv({(L_letter((0, 0)), L_letter((0, 0))): Fraction(1)})
     for _ in range(25):
         x, y, z = rand_uenv(rng), rand_uenv(rng), rand_uenv(rng)
-        assert u_mul(u_mul(x, y), z) == u_mul(x, u_mul(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_split_tail():
@@ -82,9 +80,9 @@ def test_split_tail():
 
 
 def test_loc_examples():
-    assert loc_mul(Loc.partial(1, -1), Loc.partial(1)) == Loc.one()
-    assert loc_mul(Loc.partial(1), Loc.partial(1, -1)) == Loc.one()
-    got = loc_mul(Loc.partial(1, -1), Loc.from_uenv(UEnv.L((1, 0))))
+    assert Loc.partial(1, -1) * Loc.partial(1) == Loc.one()
+    assert Loc.partial(1) * Loc.partial(1, -1) == Loc.one()
+    got = Loc.partial(1, -1) * Loc.from_uenv(UEnv.L((1, 0)))
     expect = Loc(
         {
             ((L_letter((1, 0)),), (-1, 0)): Fraction(1),
@@ -93,20 +91,20 @@ def test_loc_examples():
         }
     )
     assert got == expect
-    assert loc_mul(Loc.partial(1, -1), Loc.partial(2, -1)) == Loc({((), (-1, -1)): Fraction(1)})
+    assert Loc.partial(1, -1) * Loc.partial(2, -1) == Loc({((), (-1, -1)): Fraction(1)})
 
 
 def test_loc_agrees_with_uenv_and_associates():
     rng = random.Random(4)
     for _ in range(25):
         x, y = rand_uenv(rng), rand_uenv(rng)
-        assert Loc.from_uenv(u_mul(x, y)) == loc_mul(Loc.from_uenv(x), Loc.from_uenv(y))
+        assert Loc.from_uenv(x * y) == Loc.from_uenv(x) * Loc.from_uenv(y)
     for _ in range(12):
         xs = [
-            loc_mul(Loc.from_uenv(rand_uenv(rng, 2)), Loc.partial(1, rng.randrange(-2, 3)))
+            Loc.from_uenv(rand_uenv(rng, 2)) * Loc.partial(1, rng.randrange(-2, 3))
             for _ in range(3)
         ]
-        assert loc_mul(loc_mul(xs[0], xs[1]), xs[2]) == loc_mul(xs[0], loc_mul(xs[1], xs[2]))
+        assert (xs[0] * xs[1]) * xs[2] == xs[0] * (xs[1] * xs[2])
 
 
 def test_loc_round_trip():
@@ -120,7 +118,7 @@ def test_loc_round_trip():
 
 def test_reduce_examples():
     assert reduce_mod_I1(UEnv.partial(1)) == Q1.cyclic()
-    got = reduce_mod_I1(u_mul(UEnv.partial(1), UEnv.d1()))
+    got = reduce_mod_I1(UEnv.partial(1) * UEnv.d1())
     expect = reduce_mod_I1(UEnv.d1()) + Q1.cyclic()
     assert got == expect
     assert reduce_mod_I1(UEnv.L((1, -1))) == Q1({(L_letter((1, -1)),): Fraction(1)})
@@ -152,4 +150,4 @@ def test_filtration_compatibility():
     rng = random.Random(13)
     for _ in range(25):
         u, w = rand_uenv(rng), rand_uenv(rng)
-        assert reduce_mod_I1(u_mul(u, w)) == q1_act(u, reduce_mod_I1(w))
+        assert reduce_mod_I1(u * w) == q1_act(u, reduce_mod_I1(w))

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sbar2lab.linalg import EchelonSpan, nullspace, rank, rank_of_vectors, rref, solve
 
 
@@ -31,6 +33,26 @@ def test_solve():
     x = solve(cols, [Fraction(3), Fraction(2)])
     assert x == [Fraction(1), Fraction(2)]
     assert solve([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+
+
+def test_int_rows_give_fractions_and_floats_are_rejected():
+    reduced, pivots = rref([[2, 1], [1, 3]])
+    assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
+    assert rank([[2, 4], [1, 2]]) == 1
+    basis = nullspace([[2, 4], [1, 2]], 2)
+    assert basis == [[-2, 1]]
+    x = solve([[2, 1], [1, 3]], [1, 0])
+    assert x == [Fraction(3, 5), Fraction(-1, 5)]
+    for value in (reduced, basis, [x]):
+        assert all(type(c) is Fraction for row in value for c in row)
+    for call in (
+        lambda: rref([[0.5, 1]]),
+        lambda: rank([[0.5]]),
+        lambda: nullspace([[1, 0.5]], 2),
+        lambda: solve([[1.0]], [1]),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_echelon_span_rank_matches_dense():
