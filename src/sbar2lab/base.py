@@ -122,7 +122,7 @@ class LinComb:
             c = as_scalar(c)
             if not c:
                 continue
-            # repeated keys are rare, so only they pay for the call
+            # a first occurrence needs no sum, so it skips the call
             if key in acc:
                 accumulate(acc, key, c)
             else:

@@ -270,12 +270,11 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     index = {key: pos for pos, key in enumerate(keys)}
     rows: list[list[Fraction]] = []
     for op, scalar in ops:
-        minus_scalar = -scalar
         cols = []
         for key in keys:
             v = op(TVector({key: Fraction(1)}, a=a, module=module))
             coords = dict(v.terms)
-            accumulate(coords, key, minus_scalar)
+            accumulate(coords, key, -scalar)
             if any(k not in index for k in coords):
                 raise ValueError("operator left the degree slice")
             cols.append(coords)
