@@ -1,9 +1,11 @@
 """Exact scalars, multi-indices, bivariate polynomials, and linear combinations.
 
-Everything in the package is computed over the rationals with
-``fractions.Fraction``; no floats are accepted anywhere, so every equality
-test downstream is exact. Multi-indices are plain ``(int, int)`` tuples and
-each consuming operation enforces its own range at its boundary.
+Everything in the package is computed exactly over the rationals. A scalar
+is a Python ``int`` when it is integral and a ``fractions.Fraction`` only
+when it is not; no floats are accepted anywhere, and every quotient goes
+through ``qdiv``, so every equality test downstream is exact. Multi-indices
+are plain ``(int, int)`` tuples and each consuming operation enforces its
+own range at its boundary.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Scalar = Fraction
+Scalar = int | Fraction
 
 MultiIndex = tuple[int, int]
 
@@ -19,13 +21,23 @@ E1: MultiIndex = (1, 0)
 E2: MultiIndex = (0, 1)
 
 
-def as_scalar(x) -> Fraction:
-    """Coerce an int or Fraction; reject anything inexact."""
-    if isinstance(x, Fraction):
+def as_scalar(x) -> Scalar:
+    """Coerce an int or Fraction to a Scalar: an int when the value is
+    integral, a Fraction otherwise; reject anything inexact."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}: {x!r}")
+
+
+def qdiv(a, b) -> Scalar:
+    """The exact quotient a / b of two scalars: an int when b divides a, a
+    Fraction otherwise. This is the package's only division; like
+    ``as_scalar`` it rejects floats."""
+    return as_scalar(Fraction(a, b))
 
 
 def accumulate(acc: dict, key, c) -> None:
@@ -141,7 +153,7 @@ class LinComb:
     def one(cls):
         if cls.unit_key is None:
             raise TypeError(f"{cls.__name__} has no multiplicative unit")
-        return cls({cls.unit_key: Fraction(1)})
+        return cls({cls.unit_key: 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -152,8 +164,8 @@ class LinComb:
     def items(self):
         return self.terms.items()
 
-    def coeff(self, key) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def coeff(self, key) -> Scalar:
+        return self.terms.get(key, 0)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -277,7 +289,7 @@ class Poly2(LinComb):
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         return self.coeff((0, 0))
 
     def to_str(self, sym1: str = "t1", sym2: str = "t2") -> str:

@@ -22,7 +22,6 @@ terms are skipped before the product is formed.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .base import MultiIndex, Poly2, accumulate, binom2, mtotal
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
@@ -181,7 +180,7 @@ def whittaker_basis(module: Gl2Module, a=(1, 1)) -> list[TVector]:
     for k in range(module.dim):
         w = TVector.basis(module, a, (0, 0), k)
         for i in (1, 2):
-            if not (act_partial(i, w) - w * Fraction(a[i - 1])).is_zero():
+            if not (act_partial(i, w) - w * a[i - 1]).is_zero():
                 raise AssertionError("constant vector is not a Whittaker vector")
         basis.append(w)
     return basis
@@ -195,7 +194,7 @@ def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
     cols = []
     for w in basis:
         image = act_loc(y_element(alpha), w)
-        col = [Fraction(0)] * module.dim
+        col = [0] * module.dim
         for (beta, k), c in image.terms.items():
             if beta != (0, 0):
                 raise AssertionError("Y did not preserve the Whittaker space")
@@ -251,12 +250,14 @@ def y_generation_search(alpha: MultiIndex, max_len: int):
     """
     target = y_element(alpha)
     words: list[tuple[MultiIndex, ...]] = [()]
+    values = [_monomial_value(())]
     for length in range(1, max_len + 1):
-        words.extend(itertools.product(H_GENERATORS, repeat=length))
-        values = [_monomial_value(w) for w in words]
+        new_words = list(itertools.product(H_GENERATORS, repeat=length))
+        words.extend(new_words)
+        values.extend(_monomial_value(w) for w in new_words)
         keys = sorted({k for v in values for k in v.terms} | set(target.terms))
-        columns = [[v.terms.get(k, Fraction(0)) for k in keys] for v in values]
-        rhs = [target.terms.get(k, Fraction(0)) for k in keys]
+        columns = [[v.terms.get(k, 0) for k in keys] for v in values]
+        rhs = [target.terms.get(k, 0) for k in keys]
         sol = solve(columns, rhs)
         if sol is not None:
             return {words[j]: sol[j] for j in range(len(words)) if sol[j]}

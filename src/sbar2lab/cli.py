@@ -15,6 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
+from .base import as_scalar
 from .centralizer import pi1, xi_y, y_element
 from .expr import eval_loc, eval_phi, eval_seed, parse_element
 from .gl2 import gl2_simple
@@ -31,7 +32,7 @@ def _pair(text: str, name: str) -> tuple:
     for part in parts:
         part = part.strip()
         try:
-            out.append(Fraction(part) if "/" in part else Fraction(int(part)))
+            out.append(as_scalar(Fraction(part)) if "/" in part else int(part))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad {name} component {part!r}") from exc
     return tuple(out)

@@ -16,10 +16,9 @@ randomized rewrite schedules against it).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
-from .base import LinComb, MultiIndex, accumulate, as_scalar, gbinom, terms_str
+from .base import LinComb, MultiIndex, Scalar, accumulate, as_scalar, gbinom, qdiv, terms_str
 from .lie import (
     _AD_CAP,
     D2,
@@ -53,16 +52,16 @@ def pbw_engine(bracket):
             x, y = word[i], word[i + 1]
             if x > y:
                 acc: dict = {}
-                _merge(acc, nf(word[:i] + (y, x) + word[i + 2:]), Fraction(1))
+                _merge(acc, nf(word[:i] + (y, x) + word[i + 2:]), 1)
                 for letter, c in bracket(x, y):
-                    _merge(acc, nf(word[:i] + (letter,) + word[i + 2:]), Fraction(c))
+                    _merge(acc, nf(word[:i] + (letter,) + word[i + 2:]), c)
                 return acc
-        return {word: Fraction(1)}
+        return {word: 1}
 
     return nf
 
 
-def _merge(acc: dict, other: dict, c: Fraction) -> None:
+def _merge(acc: dict, other: dict, c: Scalar) -> None:
     if not c:
         return
     for key, v in other.items():
@@ -97,7 +96,7 @@ class UEnv(LinComb):
 
     @classmethod
     def letter(cls, letter: Letter) -> "UEnv":
-        return cls({(letter,): Fraction(1)})
+        return cls({(letter,): 1})
 
     @classmethod
     def L(cls, alpha: MultiIndex) -> "UEnv":
@@ -109,14 +108,14 @@ class UEnv(LinComb):
 
     @classmethod
     def d1(cls) -> "UEnv":
-        return cls({(L_letter((0, 0)),): Fraction(1), (D2,): Fraction(1)})
+        return cls({(L_letter((0, 0)),): 1, (D2,): 1})
 
     @classmethod
     def partial(cls, i: int) -> "UEnv":
         """d/dt_i as an element: the letter for i=1, minus the letter for i=2."""
         if i == 1:
-            return cls({(P1_LETTER,): Fraction(1)})
-        return cls({(P2_LETTER,): Fraction(-1)})
+            return cls({(P1_LETTER,): 1})
+        return cls({(P2_LETTER,): -1})
 
     @classmethod
     def from_sbar(cls, x: Sbar) -> "UEnv":
@@ -143,7 +142,7 @@ def pbw_normalize_schedule(seq, rng, c=1) -> UEnv:
 
     Independent of the memoized engine; used to exercise confluence.
     """
-    pending: list[tuple[Word, Fraction]] = [(tuple(seq), as_scalar(c))]
+    pending: list[tuple[Word, Scalar]] = [(tuple(seq), as_scalar(c))]
     done: dict = {}
     while pending:
         word, coeff = pending.pop(rng.randrange(len(pending)))
@@ -196,7 +195,7 @@ class Loc(LinComb):
 
     @classmethod
     def partial(cls, i: int, exp: int = 1) -> "Loc":
-        return cls({((), (exp, 0) if i == 1 else (0, exp)): Fraction(1)})
+        return cls({((), (exp, 0) if i == 1 else (0, exp)): 1})
 
     def to_uenv(self) -> UEnv:
         out: dict = {}
@@ -211,9 +210,9 @@ class Loc(LinComb):
         (h1, m1), (h2, m2) = k1, k2
         passed = _partials_past_word(m1, h2)
         out = []
-        left = UEnv({h1: Fraction(1)})
+        left = UEnv({h1: 1})
         for (head, mid), c in passed.items():
-            prod = left * UEnv({head: Fraction(1)})
+            prod = left * UEnv({head: 1})
             exp = (mid[0] + m2[0], mid[1] + m2[1])
             for word, cc in prod.terms.items():
                 out.append(((word, exp), c * cc))
@@ -250,7 +249,7 @@ def _partials_past_word(m: MultiIndex, word: Word) -> dict:
     application lowers total degree (guarded).
     """
     out: dict = {}
-    u = UEnv({word: Fraction(1)})
+    u = UEnv({word: 1})
     ads1 = [u]
     while not ads1[-1].is_zero():
         ads1.append(_ad_partial(1, ads1[-1]))
@@ -284,7 +283,7 @@ class Q1(LinComb):
     @classmethod
     def cyclic(cls) -> "Q1":
         """The cyclic Whittaker vector itself."""
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     def lift(self) -> UEnv:
         return UEnv(dict(self.terms))
@@ -315,7 +314,7 @@ def partial_inverse(i: int, v, partial, s):
 
     finite because p_i - s strictly lowers a filtration degree (guarded).
     ``partial(i, v)`` is the module's action of p_i."""
-    inv = 1 / as_scalar(s)
+    inv = qdiv(1, s)
     term = v * inv
     total = term
     for _ in range(_AD_CAP):
@@ -347,7 +346,7 @@ def _q1_partial(i: int, q: Q1) -> Q1:
 
 
 def _q1_word(word: Word, q: Q1) -> Q1:
-    return reduce_mod_I1(UEnv({word: Fraction(1)}) * q.lift())
+    return reduce_mod_I1(UEnv({word: 1}) * q.lift())
 
 
 def q1_act(x, q: Q1) -> Q1:

@@ -14,9 +14,8 @@ powers rejected), and module vectors for closure seeds (t and v atoms only).
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
-from .base import Poly2, in_phi, mtotal
+from .base import Poly2, in_phi, mtotal, qdiv
 from .centralizer import y_element
 from .enveloping import Loc, UEnv
 from .gl2 import Gl2Module
@@ -146,8 +145,8 @@ class _Parser:
                 denom_kind, denom, dpos = self.next()
                 if denom_kind != "num" or int(denom) == 0:
                     raise ParseError("expected a nonzero denominator", self.text, dpos)
-                return ("num", Fraction(int(val), int(denom)))
-            return ("num", Fraction(int(val)))
+                return ("num", qdiv(int(val), int(denom)))
+            return ("num", int(val))
         if kind == "name":
             self.next()
             if val in _INDEXED and self.peek()[1] == "(":

@@ -17,21 +17,19 @@ canonically rather than only by matrix evaluation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .base import LinComb, as_scalar, terms_str
+from .base import LinComb, Scalar, as_scalar, terms_str
 from .enveloping import pbw_engine
 from .lie import D2, Sbar, letter_alpha, letter_degree
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[Scalar, ...], ...]
 
 
 def mat_zero(n: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+    return tuple(tuple(0 for _ in range(n)) for _ in range(n))
 
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -46,7 +44,7 @@ def mat_scale(a: Matrix, c) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), Fraction(0)) for j in range(n))
+        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
 
@@ -65,17 +63,17 @@ class Gl2Module:
         self.lam = (l1, l2)
         self.n = n
         self.dim = n + 1
-        e11 = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        e22 = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        e12 = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        e21 = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        e11 = [[0] * self.dim for _ in range(self.dim)]
+        e22 = [[0] * self.dim for _ in range(self.dim)]
+        e12 = [[0] * self.dim for _ in range(self.dim)]
+        e21 = [[0] * self.dim for _ in range(self.dim)]
         for k in range(self.dim):
             e11[k][k] = l1 - k
             e22[k][k] = l2 + k
             if k + 1 <= n:
-                e21[k + 1][k] = Fraction(1)
+                e21[k + 1][k] = 1
             if k >= 1:
-                e12[k - 1][k] = Fraction(k * (n - k + 1))
+                e12[k - 1][k] = k * (n - k + 1)
         self.E = {
             (1, 1): tuple(map(tuple, e11)),
             (2, 2): tuple(map(tuple, e22)),
@@ -83,7 +81,7 @@ class Gl2Module:
             (2, 1): tuple(map(tuple, e21)),
         }
 
-    def column(self, ij: tuple[int, int], k: int) -> list[tuple[int, Fraction]]:
+    def column(self, ij: tuple[int, int], k: int) -> list[tuple[int, Scalar]]:
         """Nonzero entries of E_ij applied to the k-th basis vector."""
         mat = self.E[ij]
         return [(r, mat[r][k]) for r in range(self.dim) if mat[r][k]]
@@ -134,7 +132,7 @@ class Gl2Poly(LinComb):
 
     @classmethod
     def gen(cls, i: int, j: int) -> "Gl2Poly":
-        return cls({((i, j),): Fraction(1)})
+        return cls({((i, j),): 1})
 
     def normalized(self) -> "Gl2Poly":
         """Canonical PBW form (E21 words first, then E11, E22, E12)."""
@@ -155,9 +153,9 @@ class Gl2Poly(LinComb):
 
 
 _PI_TABLE = {
-    (0, 0): Gl2Poly({((1, 1),): Fraction(1), ((2, 2),): Fraction(-1)}),
-    (1, -1): Gl2Poly({((1, 2),): Fraction(-2)}),
-    (-1, 1): Gl2Poly({((2, 1),): Fraction(2)}),
+    (0, 0): Gl2Poly({((1, 1),): 1, ((2, 2),): -1}),
+    (1, -1): Gl2Poly({((1, 2),): -2}),
+    (-1, 1): Gl2Poly({((2, 1),): 2}),
 }
 
 

@@ -19,8 +19,6 @@ L(0,-1) (= -d/dt_2) last.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .base import (
     E1,
     E2,
@@ -35,6 +33,7 @@ from .base import (
     madd,
     msub,
     mtotal,
+    qdiv,
     terms_str,
 )
 
@@ -193,19 +192,19 @@ class Sbar(LinComb):
 
     @classmethod
     def d2(cls) -> "Sbar":
-        return cls({D2: Fraction(1)})
+        return cls({D2: 1})
 
     @classmethod
     def L(cls, alpha: MultiIndex) -> "Sbar":
-        return cls({L_letter(alpha): Fraction(1)})
+        return cls({L_letter(alpha): 1})
 
     @classmethod
     def d1(cls) -> "Sbar":
-        return cls({L_letter((0, 0)): Fraction(1), D2: Fraction(1)})
+        return cls({L_letter((0, 0)): 1, D2: 1})
 
     @classmethod
     def d(cls) -> "Sbar":
-        return cls({L_letter((0, 0)): Fraction(1), D2: Fraction(2)})
+        return cls({L_letter((0, 0)): 1, D2: 2})
 
     def __str__(self):
         return terms_str((letter_str(letter), self.terms[letter]) for letter in sorted(self.terms))
@@ -237,7 +236,7 @@ def vf_to_sbar(x: VectorField) -> Sbar:
         if i != 1:
             continue
         alpha = msub(exp, E1)
-        lead = Fraction(c, 1 + alpha[1])
+        lead = qdiv(c, 1 + alpha[1])
         accumulate(coords, L_letter(alpha), lead)
         for key, cc in (l_basis(alpha) * -lead).terms.items():
             accumulate(remainder, key, cc)
@@ -245,7 +244,7 @@ def vf_to_sbar(x: VectorField) -> Sbar:
         if exp == E2:  # t2 d/dt_2 = d2
             accumulate(coords, D2, c)
         elif exp[1] == 0:  # t1^k d/dt_2 = -L_(k,-1)/(k+1)
-            accumulate(coords, L_letter((exp[0], -1)), -Fraction(c, exp[0] + 1))
+            accumulate(coords, L_letter((exp[0], -1)), -qdiv(c, exp[0] + 1))
         else:
             div = divergence(x)
             detail = "non-constant divergence" if not div.is_constant() else f"stray term t^{exp}*p2"
@@ -260,7 +259,7 @@ def scaling_twist(a: tuple, x: VectorField) -> VectorField:
         raise ValueError("scale factors must be nonzero")
     out = {}
     for (exp, j), c in x.terms.items():
-        factor = (a1 if j == 1 else a2) * a1 ** (-exp[0]) * a2 ** (-exp[1])
+        factor = qdiv(a1 if j == 1 else a2, a1 ** exp[0] * a2 ** exp[1])
         out[(exp, j)] = c * factor
     return VectorField(out)
 
@@ -276,12 +275,12 @@ def unipotent_twist(c, x: VectorField) -> VectorField:
     out = x
     term = x
     k = 1
-    coeff = Fraction(1)
+    coeff = 1
     while True:
         term = vf_bracket(shear, term)
         if term.is_zero():
             return out
-        coeff *= Fraction(c, k)
+        coeff = qdiv(coeff * c, k)
         out = out + term * coeff
         k += 1
         if k > _AD_CAP:

@@ -1,24 +1,23 @@
 """Small exact linear algebra over the rationals.
 
-Dense routines (rref, rank, nullspace, solve) work on lists of Fraction rows;
-EchelonSpan keeps an incremental row-echelon basis of sparse dict-vectors and
-is what the closure probes and independence checks grow their spans with.
-Matrices in this package stay small (a few hundred rows), so fraction
-Gaussian elimination is entirely adequate.
+Dense routines (rref, rank, nullspace, solve) work on lists of rows of
+exact scalars (int, or Fraction where not integral); EchelonSpan keeps an
+incremental row-echelon basis of sparse dict-vectors and is what the closure
+probes and independence checks grow their spans with. Every pivot inverse is
+taken with ``qdiv``. Matrices in this package stay small (a few hundred
+rows), so fraction Gaussian elimination is entirely adequate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .base import accumulate, as_scalar
+from .base import Scalar, accumulate, as_scalar, qdiv
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form; returns (nonzero rows, pivot column indices).
 
-    Entries are coerced to exact rationals, so int rows give Fraction results
-    and float rows are rejected."""
+    Entries are coerced with ``as_scalar``, so results are exact (ints where
+    integral, Fractions otherwise) and float rows are rejected."""
     m = [[as_scalar(x) for x in r] for r in rows]
     if not m:
         return [], []
@@ -34,7 +33,7 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
+        inv = qdiv(1, m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
@@ -47,27 +46,27 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return m[:r], pivots
 
 
-def rank(rows: list[list[Fraction]]) -> int:
+def rank(rows: list[list[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     """Basis of the right kernel of the matrix (rows may be empty)."""
     if not rows:
-        return [[Fraction(i == j) for i in range(ncols)] for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     reduced, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(v)
     return basis
 
 
-def solve(columns: list[list[Fraction]], target: list[Fraction]):
+def solve(columns: list[list[Scalar]], target: list[Scalar]):
     """One exact solution x of  sum_j x_j * columns[j] = target, or None."""
     ncols = len(columns)
     nrows = len(target)
@@ -75,14 +74,14 @@ def solve(columns: list[list[Fraction]], target: list[Fraction]):
     reduced, pivots = rref(aug)
     if ncols in pivots:
         return None  # inconsistent: pivot in the augmented column
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols]
     return x
 
 
 class EchelonSpan:
-    """Growing reduced-echelon basis of sparse vectors (dict key -> Fraction).
+    """Growing reduced-echelon basis of sparse vectors (dict key -> scalar).
 
     ``key_rank`` maps coordinate keys to a sortable value; the pivot of each
     stored row is its minimal key under that order. With keys ordered by
@@ -122,7 +121,7 @@ class EchelonSpan:
         if not rem:
             return None
         pivot = min(rem, key=self._key_rank)
-        inv = 1 / rem[pivot]
+        inv = qdiv(1, rem[pivot])
         row = {k: c * inv for k, c in rem.items()}
         for other in self._rows.values():
             f = other.get(pivot)

@@ -105,7 +105,7 @@ def _suite_jacobi(max_degree: int, rng) -> list:
     def make(trios):
         def thunk():
             for x, y, z in trios:
-                sx, sy, sz = (Sbar({l: Fraction(1)}) for l in (x, y, z))
+                sx, sy, sz = (Sbar({l: 1}) for l in (x, y, z))
                 total = (
                     sbar_bracket(sx, sbar_bracket(sy, sz))
                     + sbar_bracket(sy, sbar_bracket(sz, sx))
@@ -146,7 +146,7 @@ def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
     def make(pairs):
         def thunk():
             for x, y in pairs:
-                sx, sy = Sbar({x: Fraction(1)}), Sbar({y: Fraction(1)})
+                sx, sy = Sbar({x: 1}), Sbar({y: 1})
                 via_letters = sbar_to_vf(sbar_bracket(sx, sy))
                 via_fields = vf_bracket(sbar_to_vf(sx), sbar_to_vf(sy))
                 if via_letters != via_fields:
@@ -197,7 +197,7 @@ def _suite_divergence(max_degree: int, rng) -> list:
 def _suite_twist(max_degree: int, rng) -> list:
     cases = []
     letters = _letters(min(max_degree, 2))
-    scale = (Fraction(2), Fraction(3))
+    scale = (2, 3)
     inv_scale = (Fraction(1, 2), Fraction(1, 3))
 
     def ex_scaling():
@@ -214,13 +214,13 @@ def _suite_twist(max_degree: int, rng) -> list:
     cases.append(("scaling-examples", "p_i -> a_i p_i, d_i fixed", "derived-example", ex_scaling))
 
     def ex_unipotent():
-        if unipotent_twist(Fraction(-1), VectorField.partial(1)) != VectorField.partial(1):
+        if unipotent_twist(-1, VectorField.partial(1)) != VectorField.partial(1):
             return FAIL, {"input": "p1"}
         expect = VectorField.partial(2) + VectorField.partial(1)
-        if unipotent_twist(Fraction(-1), VectorField.partial(2)) != expect:
+        if unipotent_twist(-1, VectorField.partial(2)) != expect:
             return FAIL, {"input": "p2"}
         expect = VectorField.euler(2) + VectorField.monomial((0, 1), 1)
-        if unipotent_twist(Fraction(-1), VectorField.euler(2)) != expect:
+        if unipotent_twist(-1, VectorField.euler(2)) != expect:
             return FAIL, {"input": "d2"}
         return PASS, {}
 
@@ -229,7 +229,7 @@ def _suite_twist(max_degree: int, rng) -> list:
     def make_auto(twist, name):
         def thunk():
             for x, y in itertools.combinations(letters, 2):
-                vx, vy = sbar_to_vf(Sbar({x: Fraction(1)})), sbar_to_vf(Sbar({y: Fraction(1)}))
+                vx, vy = sbar_to_vf(Sbar({x: 1})), sbar_to_vf(Sbar({y: 1}))
                 lhs = twist(vf_bracket(vx, vy))
                 rhs = vf_bracket(twist(vx), twist(vy))
                 if lhs != rhs:
@@ -251,16 +251,16 @@ def _suite_twist(max_degree: int, rng) -> list:
             "unipotent-automorphism",
             "twist([x,y]) = [twist(x), twist(y)]",
             "axiom-sweep",
-            make_auto(lambda v: unipotent_twist(Fraction(-1), v), "unipotent"),
+            make_auto(lambda v: unipotent_twist(-1, v), "unipotent"),
         )
     )
 
     def inverses():
         for letter in letters:
-            v = sbar_to_vf(Sbar({letter: Fraction(1)}))
+            v = sbar_to_vf(Sbar({letter: 1}))
             if scaling_twist(inv_scale, scaling_twist(scale, v)) != v:
                 return FAIL, {"letter": str(letter), "twist": "scaling"}
-            if unipotent_twist(Fraction(1), unipotent_twist(Fraction(-1), v)) != v:
+            if unipotent_twist(1, unipotent_twist(-1, v)) != v:
                 return FAIL, {"letter": str(letter), "twist": "unipotent"}
         return PASS, {}
 
@@ -268,12 +268,12 @@ def _suite_twist(max_degree: int, rng) -> list:
 
     def rep_compat():
         module = gl2_simple((1, 0))
-        a = (Fraction(1), Fraction(0))
+        a = (1, 0)
         images = [
-            vf_to_sbar(unipotent_twist(Fraction(-1), VectorField.partial(i))) for i in (1, 2)
+            vf_to_sbar(unipotent_twist(-1, VectorField.partial(i))) for i in (1, 2)
         ]
         ops = [
-            (lambda v, s=s: act_sbar(s, v), Fraction(1))
+            (lambda v, s=s: act_sbar(s, v), 1)
             for s in images
         ]
         kernel = joint_kernel(module, a, max(2, max_degree), ops)
@@ -299,7 +299,7 @@ def _suite_phi_hom(max_degree: int, rng) -> list:
         for b2 in range(max_degree + 1 - b1)
     ]
     lies = [Sbar.d2()] + [
-        Sbar({l: Fraction(1)}) for l in _letters(max_degree) if l != D2
+        Sbar({l: 1}) for l in _letters(max_degree) if l != D2
     ]
     gens = [("poly", p) for p in polys] + [("lie", x) for x in lies]
     buckets: dict[tuple, list] = {}
@@ -344,12 +344,12 @@ def _suite_action_axioms(max_degree: int, rng) -> list:
                 ]
                 checked = 0
                 for x, y in itertools.combinations(letters, 2):
-                    bracket = sbar_bracket(Sbar({x: Fraction(1)}), Sbar({y: Fraction(1)}))
+                    bracket = sbar_bracket(Sbar({x: 1}), Sbar({y: 1}))
                     for w in vecs:
                         lhs = act_letter(x, act_letter(y, w)) - act_letter(y, act_letter(x, w))
                         if lhs != act_sbar(bracket, w):
                             return FAIL, {
-                                "pair": [str(Sbar({x: Fraction(1)})), str(Sbar({y: Fraction(1)}))],
+                                "pair": [str(Sbar({x: 1})), str(Sbar({y: 1}))],
                                 "vector": str(w),
                             }
                         checked += 1
@@ -438,7 +438,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
 
     def search():
         module = gl2_simple(lam)
-        a = (Fraction(0), Fraction(0))
+        a = (0, 0)
         indices = [
             (a1, a2)
             for a1 in range(-1, index_cap + 2)
@@ -459,7 +459,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
                 res = cache.get((letter, key))
                 if res is None:
                     res = act_letter(
-                        letter, TVector({key: Fraction(1)}, a=a, module=module)
+                        letter, TVector({key: 1}, a=a, module=module)
                     ).terms
                     cache[(letter, key)] = res
                 for k2, c2 in res.items():
@@ -476,7 +476,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
                         idx = (beta[0] + ej[0] * i, beta[1] + ej[1] * i)
                         inner.append(idx)
                     for key in keys:
-                        base = {key: Fraction(1)}
+                        base = {key: 1}
                         inners = [
                             None if idx == (-1, -1) else letter_on(L_letter(idx), base)
                             for idx in inner
@@ -504,7 +504,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
         module = gl2_simple(lam)
         w = TVector.basis(module, (0, 0), (0, 0), 0)
         got = sigma_act(SigmaOp(1, 1, (0, 0), (0, 0)), w)
-        expect = TVector({((1, 0), 0): Fraction(-2)}, a=(0, 0), module=module)
+        expect = TVector({((1, 0), 0): -2}, a=(0, 0), module=module)
         return (PASS, {"value": str(got)}) if got == expect else (FAIL, {"value": str(got)})
 
     def corner():
@@ -755,7 +755,7 @@ def _suite_y_basis(max_degree: int, rng) -> list:
 
     def generation_self():
         found = y_generation_search((1, -1), 1)
-        if found == {((1, -1),): Fraction(1)}:
+        if found == {((1, -1),): 1}:
             return PASS, {}
         return FAIL, {"found": str(found)}
 

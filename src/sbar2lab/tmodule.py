@@ -19,9 +19,7 @@ dimensions only where the projection cannot have discarded contributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .base import E1, E2, LinComb, MultiIndex, Poly2, accumulate, comb0, madd, msub, mtotal, terms_str
+from .base import E1, E2, LinComb, MultiIndex, Poly2, Scalar, accumulate, as_scalar, comb0, madd, msub, mtotal, terms_str
 from .enveloping import Loc, UEnv, Word, loc_act
 from .gl2 import Gl2Module, mat_mul, mat_identity, pi_letter
 from .lie import D2, L_letter, Letter, Sbar, l_basis, letter_degree
@@ -37,7 +35,7 @@ class TVector(LinComb):
 
     def __init__(self, terms=(), *, a, module: Gl2Module):
         super().__init__(terms)
-        self.a = (Fraction(a[0]), Fraction(a[1]))
+        self.a = (as_scalar(a[0]), as_scalar(a[1]))
         self.module = module
 
     def _new(self, terms):
@@ -49,7 +47,7 @@ class TVector(LinComb):
             raise ValueError(f"weight index {k} out of range for dim {module.dim}")
         if beta[0] < 0 or beta[1] < 0:
             raise ValueError(f"polynomial exponent must be nonnegative, got {beta}")
-        return cls({(beta, k): Fraction(1)}, a=a, module=module)
+        return cls({(beta, k): 1}, a=a, module=module)
 
     @classmethod
     def zero_of(cls, module: Gl2Module, a) -> "TVector":
@@ -90,20 +88,20 @@ def _letter_recipe(letter: Letter):
     if rec is not None:
         return rec
     if letter == D2:
-        fields = [(E2, 2, Fraction(1))]
-        gl = [((0, 0), (2, 2), Fraction(1))]
+        fields = [(E2, 2, 1)]
+        gl = [((0, 0), (2, 2), 1)]
     else:
         alpha = (letter[2], letter[3])
         fields = [((exp), i, c) for (exp, i), c in l_basis(alpha).terms.items()]
         gl = []
-        c0 = Fraction((1 + alpha[0]) * (1 + alpha[1]))
+        c0 = (1 + alpha[0]) * (1 + alpha[1])
         if c0:
             gl.append((alpha, (1, 1), c0))
             gl.append((alpha, (2, 2), -c0))
-        c21 = Fraction(alpha[1] * (1 + alpha[1]))
+        c21 = alpha[1] * (1 + alpha[1])
         if c21:
             gl.append((madd(alpha, (1, -1)), (2, 1), c21))
-        c12 = Fraction(-alpha[0] * (1 + alpha[0]))
+        c12 = -alpha[0] * (1 + alpha[0])
         if c12:
             gl.append((madd(alpha, (-1, 1)), (1, 2), c12))
     _RECIPES[letter] = (fields, gl)
@@ -239,7 +237,7 @@ def random_seed_vector(module: Gl2Module, a, rng) -> TVector:
                 for k in range(module.dim):
                     c = rng.randrange(-2, 3)
                     if c:
-                        terms[((b1, b2), k)] = Fraction(c)
+                        terms[((b1, b2), k)] = c
     return TVector(terms, a=a, module=module)
 
 
@@ -258,7 +256,7 @@ def whittaker_space(module: Gl2Module, a, degree: int) -> list[TVector]:
     slice; the slice is operator-stable, so the answer is exact for every
     truncation degree."""
     ops = [lambda v: act_partial(1, v), lambda v: act_partial(2, v)]
-    return joint_kernel(module, a, degree, list(zip(ops, (Fraction(a[0]), Fraction(a[1])))))
+    return joint_kernel(module, a, degree, list(zip(ops, a)))
 
 
 def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
@@ -268,18 +266,18 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     """
     keys = slice_keys(module, degree)
     index = {key: pos for pos, key in enumerate(keys)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[Scalar]] = []
     for op, scalar in ops:
         cols = []
         for key in keys:
-            v = op(TVector({key: Fraction(1)}, a=a, module=module))
+            v = op(TVector({key: 1}, a=a, module=module))
             coords = dict(v.terms)
             accumulate(coords, key, -scalar)
             if any(k not in index for k in coords):
                 raise ValueError("operator left the degree slice")
             cols.append(coords)
         for out_key in keys:
-            row = [cols[j].get(out_key, Fraction(0)) for j in range(len(keys))]
+            row = [cols[j].get(out_key, 0) for j in range(len(keys))]
             if any(row):
                 rows.append(row)
     basis = nullspace(rows, len(keys))
@@ -298,7 +296,7 @@ def h_monomial_env(m: MultiIndex) -> UEnv:
 def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
     """Rank of the Cartan translates of the constant vectors up to total
     degree ``degree``; full rank witnesses freeness on the window."""
-    a = (Fraction(a[0]), Fraction(a[1]))
+    a = (as_scalar(a[0]), as_scalar(a[1]))
     if not (a[0] and a[1]):
         raise ValueError("freeness check needs a nonsingular type vector")
     vectors = []

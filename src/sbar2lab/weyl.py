@@ -23,12 +23,12 @@ reading of the summation range.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .base import (
     LinComb,
     MultiIndex,
     Poly2,
+    as_scalar,
     binom2,
     in_phi,
     is_nonneg,
@@ -77,7 +77,7 @@ class Weyl(LinComb):
     def monomial(cls, t_exp: MultiIndex, d_exp: MultiIndex, c=1) -> "Weyl":
         if not (is_nonneg(t_exp) and is_nonneg(d_exp)):
             raise ValueError("Weyl exponents must be nonnegative")
-        return cls({(t_exp, d_exp): Fraction(c)})
+        return cls({(t_exp, d_exp): c})
 
     @classmethod
     def t(cls, i: int) -> "Weyl":
@@ -113,7 +113,7 @@ class A2aVector:
 
     def __init__(self, poly: Poly2, a: tuple):
         self.poly = poly
-        self.a = (Fraction(a[0]), Fraction(a[1]))
+        self.a = (as_scalar(a[0]), as_scalar(a[1]))
 
     def __eq__(self, other):
         return isinstance(other, A2aVector) and self.a == other.a and self.poly == other.poly
@@ -215,7 +215,7 @@ def phi_L(alpha: MultiIndex) -> TensorAlg:
             c = binom2(top, r)
             if not c:
                 continue
-            out = out + TensorAlg({(((r, (0, 0))), (L_letter(res),)): Fraction(c)})
+            out = out + TensorAlg({(((r, (0, 0))), (L_letter(res),)): c})
     return out
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom
+from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom, qdiv
 
 
 def p(terms):
@@ -71,6 +71,24 @@ def test_scalar_boundary_rejects_floats():
     with pytest.raises(TypeError):
         as_scalar(0.5)
     assert as_scalar(3) == Fraction(3)
+
+
+def test_integral_scalars_are_ints():
+    for x in (3, Fraction(6, 2), True):
+        assert type(as_scalar(x)) is int
+    assert as_scalar(Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_qdiv_is_exact():
+    assert qdiv(6, -3) == -2 and type(qdiv(6, -3)) is int
+    assert type(qdiv(Fraction(1, 2), Fraction(1, 4))) is int
+    assert qdiv(2, 4) == Fraction(1, 2) and type(qdiv(2, 4)) is Fraction
+    with pytest.raises(TypeError):
+        qdiv(1.0, 2)
+    with pytest.raises(TypeError):
+        qdiv(1, 2.0)
+    with pytest.raises(ZeroDivisionError):
+        qdiv(1, 0)
 
 
 def test_lincomb_drops_zeros():

@@ -120,6 +120,15 @@ def test_scaling_twist_examples():
         scaling_twist((0, 1), VectorField.partial(1))
 
 
+def test_scaling_twist_stays_exact_with_int_factors():
+    # the factor a_j a1^(-b1) a2^(-b2) is a quotient, never a negative int power
+    got = scaling_twist((2, 3), l_basis((1, -1)))
+    assert got == l_basis((1, -1)) * Fraction(3, 2)
+    assert got.terms == {((1, 0), 2): -3} and all(type(c) is int for c in got.terms.values())
+    got = scaling_twist((2, 3), VectorField.monomial((0, 1), 1))
+    assert got.terms == {((0, 1), 1): Fraction(2, 3)} and all(type(c) is Fraction for c in got.terms.values())
+
+
 def test_unipotent_twist_examples():
     c = Fraction(-1)
     assert unipotent_twist(c, VectorField.partial(1)) == VectorField.partial(1)

@@ -44,7 +44,8 @@ def test_int_rows_give_fractions_and_floats_are_rejected():
     x = solve([[2, 1], [1, 3]], [1, 0])
     assert x == [Fraction(3, 5), Fraction(-1, 5)]
     for value in (reduced, basis, [x]):
-        assert all(type(c) is Fraction for row in value for c in row)
+        # exact scalars: an int, or a Fraction, never a float
+        assert all(type(c) in (int, Fraction) for row in value for c in row)
     for call in (
         lambda: rref([[0.5, 1]]),
         lambda: rank([[0.5]]),

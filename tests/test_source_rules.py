@@ -1,4 +1,5 @@
-"""Source rules that keep one way to do each thing in the package."""
+"""Source rules that keep one way to do each thing in the package and keep
+every scalar exact."""
 
 import ast
 import pathlib
@@ -35,6 +36,11 @@ def _is_get_plus(node) -> bool:
     )
 
 
+def _function(module: str, name: str):
+    (node,) = [n for n in MODULES[module].body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
 def test_no_module_reads_the_environment():
     # no module needs os, so forbidding its import closes every route to
     # os.environ / getenv, including ``from os import environ``
@@ -62,11 +68,7 @@ def test_ad_cap_is_assigned_once():
 
 
 def test_accumulate_pattern_lives_only_in_base_accumulate():
-    (accumulate,) = [
-        node
-        for node in MODULES["base.py"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "accumulate"
-    ]
+    accumulate = _function("base.py", "accumulate")
     inside = {id(node) for node in ast.walk(accumulate)}
     sites = [
         (name, node.lineno)
@@ -76,3 +78,57 @@ def test_accumulate_pattern_lives_only_in_base_accumulate():
     ]
     assert sites == []
     assert any(_is_get_plus(node) for node in ast.walk(accumulate))
+
+
+def _operator(node):
+    """``(op, right operand)`` of a binary or augmented operation, else ``(None, None)``."""
+    if isinstance(node, ast.BinOp):
+        return node.op, node.right
+    if isinstance(node, ast.AugAssign):
+        return node.op, node.value
+    return None, None
+
+
+def test_only_qdiv_divides():
+    # between two ints ``/`` gives a float, so every quotient goes through qdiv
+    inside = {id(node) for node in ast.walk(_function("base.py", "qdiv"))}
+    sites = [
+        (name, node.lineno)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(_operator(node)[0], ast.Div) and id(node) not in inside
+    ]
+    assert sites == []
+
+
+def test_no_power_with_a_negated_exponent():
+    # ``int ** -n`` is a float; a reciprocal power is spelled with qdiv
+    sites = [
+        (name, node.lineno)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        for op, exponent in [_operator(node)]
+        if isinstance(op, ast.Pow) and isinstance(exponent, ast.UnaryOp) and isinstance(exponent.op, ast.USub)
+    ]
+    assert sites == []
+
+
+def _is_int_literal(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def test_integral_constants_are_plain_ints():
+    # an integral scalar is stored as an int, so Fraction(3) has one spelling: 3
+    sites = [
+        (name, node.lineno)
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and len(node.args) == 1
+        and _is_int_literal(node.args[0])
+    ]
+    assert sites == []
