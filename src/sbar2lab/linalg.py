@@ -1,11 +1,13 @@
-"""Small exact linear algebra over the rationals.
+"""Small exact linear algebra over the rationals: one sparse eliminator.
 
-Dense routines (rref, rank, nullspace, solve) work on lists of rows of
-exact scalars (int, or Fraction where not integral); EchelonSpan keeps an
-incremental row-echelon basis of sparse dict-vectors and is what the closure
-probes and independence checks grow their spans with. Every pivot inverse is
-taken with ``qdiv``. Matrices in this package stay small (a few hundred
-rows), so fraction Gaussian elimination is entirely adequate.
+EchelonSpan grows the reduced row echelon basis of a span of sparse
+dict-vectors (key -> exact scalar) and is the package's only elimination
+routine. ``rref`` inserts the nonzero entries of each matrix row (most entries
+here are zero) as ``{column: value}``; the reduced row echelon form is unique, so
+the stored rows ordered by pivot are exactly that form, and ``rank``,
+``nullspace`` and ``solve`` read it off ``rref``. The one pivot inverse is
+taken with ``qdiv`` in ``EchelonSpan.add``, and every stored entry passes
+through ``as_scalar``, so an integral entry is an int.
 """
 
 from __future__ import annotations
@@ -18,32 +20,18 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
 
     Entries are coerced with ``as_scalar``, so results are exact (ints where
     integral, Fractions otherwise) and float rows are rejected."""
-    m = [[as_scalar(x) for x in r] for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = qdiv(1, m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    span = EchelonSpan()
+    for r in rows:
+        span.add({j: x for j, x in enumerate(map(as_scalar, r)) if x})
+    ncols = len(rows[0]) if rows else 0
+    pivots = sorted(span.pivot_keys())
+    reduced = []
+    for p in pivots:
+        dense = [0] * ncols
+        for j, c in span._rows[p].items():
+            dense[j] = c
+        reduced.append(dense)
+    return reduced, pivots
 
 
 def rank(rows: list[list[Scalar]]) -> int:
@@ -83,10 +71,11 @@ def solve(columns: list[list[Scalar]], target: list[Scalar]):
 class EchelonSpan:
     """Growing reduced-echelon basis of sparse vectors (dict key -> scalar).
 
-    ``key_rank`` maps coordinate keys to a sortable value; the pivot of each
-    stored row is its minimal key under that order. With keys ordered by
-    descending polynomial degree, the number of pivots lying in low-degree
-    blocks equals the dimension of the span's intersection with those blocks.
+    ``key_rank`` maps coordinate keys to a sortable value (the keys
+    themselves by default); the pivot of each stored row is its minimal key
+    under that order. With keys ordered by descending polynomial degree, the
+    number of pivots lying in low-degree blocks equals the dimension of the
+    span's intersection with those blocks.
 
     Rows are kept fully reduced against each other (each row is 1 at its own
     pivot and 0 at every other pivot). The reduced form is canonical for the
@@ -95,24 +84,15 @@ class EchelonSpan:
     """
 
     def __init__(self, key_rank=None):
-        self._key_rank = key_rank or (lambda k: k)
+        self._key_rank = key_rank
         self._rows: dict = {}  # pivot key -> reduced row with pivot coefficient 1
 
     def reduce(self, vec: dict) -> dict:
         v = {k: as_scalar(c) for k, c in vec.items() if c}
-        while v:
-            hits = [k for k in v if k in self._rows]
-            if not hits:
-                return v
-            # cancelling a pivot introduces only non-pivot keys, so the
-            # number of pivot coordinates in the support strictly drops
-            pivot = min(hits, key=self._key_rank)
-            f = -v.pop(pivot)
-            row = self._rows[pivot]
-            for k, c in row.items():
-                if k == pivot:
-                    continue
-                accumulate(v, k, f * c)
+        # a stored row is 0 at every other pivot, so cancelling one pivot
+        # leaves the others' coefficients as they were: one pass suffices
+        for pivot in [k for k in v if k in self._rows]:
+            _axpy(v, -v.pop(pivot), self._rows[pivot], pivot)
         return v
 
     def add(self, vec: dict):
@@ -122,13 +102,11 @@ class EchelonSpan:
             return None
         pivot = min(rem, key=self._key_rank)
         inv = qdiv(1, rem[pivot])
-        row = {k: c * inv for k, c in rem.items()}
+        row = {k: as_scalar(c * inv) for k, c in rem.items()}
         for other in self._rows.values():
-            f = other.get(pivot)
+            f = other.pop(pivot, 0)
             if f:
-                f = -f
-                for k, c in row.items():
-                    accumulate(other, k, f * c)
+                _axpy(other, -f, row, pivot)
         self._rows[pivot] = row
         return row
 
@@ -141,6 +119,15 @@ class EchelonSpan:
 
     def pivot_keys(self):
         return list(self._rows)
+
+
+def _axpy(acc: dict, f: Scalar, row: dict, pivot) -> None:
+    """acc += f * row off the pivot; an integral entry it touches is stored as an int."""
+    for k, c in row.items():
+        if k != pivot:
+            accumulate(acc, k, f * c)
+            if k in acc:
+                acc[k] = as_scalar(acc[k])
 
 
 def rank_of_vectors(vectors, key_rank=None) -> int:

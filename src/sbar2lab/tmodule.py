@@ -39,7 +39,12 @@ class TVector(LinComb):
         self.module = module
 
     def _new(self, terms):
-        return TVector(terms, a=self.a, module=self.module)
+        # self.a is coerced already, so it is copied, not coerced again
+        out = TVector.__new__(TVector)
+        LinComb.__init__(out, terms)
+        out.a = self.a
+        out.module = self.module
+        return out
 
     @classmethod
     def basis(cls, module: Gl2Module, a, beta: MultiIndex, k: int) -> "TVector":

@@ -2,12 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sbar2lab.base import accumulate
 from sbar2lab.linalg import EchelonSpan, nullspace, rank, rank_of_vectors, rref, solve
 
 
 def F(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def integral_fraction(c) -> bool:
+    return type(c) is Fraction and c.denominator == 1
 
 
 def test_rref_and_rank():
@@ -46,6 +53,12 @@ def test_int_rows_give_fractions_and_floats_are_rejected():
     for value in (reduced, basis, [x]):
         # exact scalars: an int, or a Fraction, never a float
         assert all(type(c) in (int, Fraction) for row in value for c in row)
+        # and an integral one is an int
+        assert not any(integral_fraction(c) for row in value for c in row)
+    # Fraction input too: rref([[2, 1], [1, 3]]) held Fraction(1) and Fraction(0)
+    for value in (rref(F([[2, 1], [1, 3]]))[0], nullspace(F([[2, 4], [1, 2]]), 2)):
+        assert not any(integral_fraction(c) for row in value for c in row)
+    assert not any(integral_fraction(c) for c in solve(F([[2, 1], [4, 3]]), F([[2, 4]])[0]))
     for call in (
         lambda: rref([[0.5, 1]]),
         lambda: rank([[0.5]]),
@@ -83,8 +96,141 @@ def test_echelon_rows_stay_reduced():
     span.add({0: Fraction(1), 1: Fraction(1)})
     span.add({1: Fraction(1), 2: Fraction(1)})
     span.add({0: Fraction(1), 2: Fraction(5)})
-    for pivot, row in span._rows.items():
-        assert row[pivot] == 1
-        for other in span._rows:
-            if other != pivot:
-                assert other not in row
+    span.add({1: Fraction(1, 2), 3: Fraction(3, 2)})
+    # 1/2 + 1/2 sums to an integral entry of the first row when the second
+    # one cancels key 1 there
+    halves = EchelonSpan()
+    halves.add({0: 1, 1: Fraction(1, 2), 2: Fraction(1, 2)})
+    halves.add({1: 1, 2: -1})
+    assert halves._rows[0] == {0: 1, 2: 1}
+    for s in (span, halves):
+        for pivot, row in s._rows.items():
+            assert row[pivot] == 1
+            assert not any(integral_fraction(c) for c in row.values())
+            for other in s._rows:
+                if other != pivot:
+                    assert other not in row
+
+
+# --- properties on small random matrices ------------------------------------
+
+
+def gauss_jordan(rows):
+    """Dense Gauss-Jordan elimination over Fraction: the reference RREF."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    """Small int/Fraction matrices with some rows and columns forced to zero."""
+    nrows = draw(st.integers(min_rows, 5))
+    ncols = draw(st.integers(1, 5))
+    m = [[draw(SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if i < nrows:
+            m[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def dot(row, v):
+    return sum(Fraction(a) * b for a, b in zip(row, v))
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+@PROPERTY
+@given(matrices())
+def test_rref_equals_dense_gauss_jordan(m):
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == gauss_jordan(m)
+    assert not any(integral_fraction(c) for row in reduced for c in row)
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_annihilates_and_has_full_dimension(m):
+    ncols = len(m[0]) if m else 3
+    basis = nullspace(m, ncols)
+    assert len(basis) == ncols - len(gauss_jordan(m)[1])
+    assert rank(basis) == len(basis)
+    for v in basis:
+        assert not any(integral_fraction(c) for c in v)
+        for row in m:
+            assert dot(row, v) == 0
+
+
+@PROPERTY
+@given(matrices(min_rows=1), st.data())
+def test_solve_is_none_exactly_when_inconsistent(m, data):
+    # the matrix's rows are the solve's columns; the target has one entry per
+    # matrix column
+    target = data.draw(st.lists(SCALARS, min_size=len(m[0]), max_size=len(m[0])))
+    x = solve(m, target)
+    coefficient_rows = [list(r) for r in zip(*m)]
+    augmented = [r + [t] for r, t in zip(coefficient_rows, target)]
+    consistent = len(gauss_jordan(augmented)[1]) == len(gauss_jordan(coefficient_rows)[1])
+    assert (x is not None) == consistent
+    if x is not None:
+        assert not any(integral_fraction(c) for c in x)
+        for i, t in enumerate(target):
+            assert sum(Fraction(x[j]) * m[j][i] for j in range(len(m))) == t
+
+
+def as_vectors(m):
+    return [{j: c for j, c in enumerate(row) if c} for row in m]
+
+
+@PROPERTY
+@given(matrices(), st.randoms(use_true_random=False))
+def test_pivot_keys_do_not_depend_on_insertion_order(m, rng):
+    vectors = as_vectors(m)
+    shuffled = list(vectors)
+    rng.shuffle(shuffled)
+    for key_rank in (None, lambda k: -k):
+        first, second = EchelonSpan(key_rank), EchelonSpan(key_rank)
+        for v in vectors:
+            first.add(v)
+        for v in shuffled:
+            second.add(v)
+        assert set(first.pivot_keys()) == set(second.pivot_keys())
+
+
+@PROPERTY
+@given(matrices(), matrices(min_rows=1))
+def test_reduce_leaves_no_pivot_and_removes_a_span_element(m, probes):
+    span = EchelonSpan()
+    for v in as_vectors(m):
+        span.add(v)
+    for v in as_vectors(probes):
+        rem = span.reduce(v)
+        assert not set(rem) & set(span.pivot_keys())
+        diff = dict(v)
+        for k, c in rem.items():
+            accumulate(diff, k, -c)
+        assert span.contains(diff)

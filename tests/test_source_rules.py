@@ -132,3 +132,29 @@ def test_integral_constants_are_plain_ints():
         and _is_int_literal(node.args[0])
     ]
     assert sites == []
+
+
+def _method(module: str, cls: str, name: str):
+    (klass,) = [n for n in MODULES[module].body if isinstance(n, ast.ClassDef) and n.name == cls]
+    (node,) = [n for n in klass.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def _calls(tree, name: str) -> list:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+    ]
+
+
+def test_linalg_has_one_elimination_routine():
+    # EchelonSpan.add takes the only pivot inverse; a second qdiv in linalg
+    # would mean a second elimination loop
+    sites = _calls(MODULES["linalg.py"], "qdiv")
+    inside = _calls(_method("linalg.py", "EchelonSpan", "add"), "qdiv")
+    assert len(sites) == 1 and sites == inside, [node.lineno for node in sites]

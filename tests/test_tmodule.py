@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbar2lab.base import accumulate, comb0
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2, L_letter, Sbar, sbar_bracket
@@ -48,6 +49,17 @@ def test_action_dispatcher():
     assert t_act(Loc.partial(1, -1), w0) == w0
     with pytest.raises(TypeError):
         t_act(3, w0)
+
+
+def test_derived_vectors_reuse_the_coerced_type_vector():
+    m = gl2_simple((1, 0))
+    w = TVector({((0, 0), 0): 1}, a=(Fraction(2), Fraction(1, 2)), module=m)
+    assert w.a == (2, Fraction(1, 2)) and type(w.a[0]) is int
+    # sums, scalings and actions copy a, they do not coerce it again
+    for v in (w + w, -w, w * 3, act_letter(D2, w)):
+        assert v.a is w.a and v.module is m
+    with pytest.raises(TypeError):
+        TVector({((0, 0), 0): 1}, a=(0.5, 1), module=m)
 
 
 def test_localized_action_inverts():
@@ -162,6 +174,52 @@ def test_sigma_examples():
         SigmaOp(-1, 1, (0, 0), (0, 0))
     with pytest.raises(ValueError):
         SigmaOp(1, 3, (0, 0), (0, 0))
+
+
+def test_sigma_suite_dict_path_matches_sigma_act():
+    # The sigma-annihilation suite does not call sigma_act: it sums the
+    # alternating operator on dict vectors through a cache of act_letter
+    # images of basis keys. That path is rebuilt here the same way and
+    # compared with sigma_act on the suite's type vector and degree-2 slice.
+    a = (0, 0)
+    indices = [(-1, -1), (-1, 1), (0, 0), (1, -1), (2, 0)]
+    for lam in ((1, 0), (2, -1)):
+        module = gl2_simple(lam)
+        keys = [((b1, b2), k) for b1 in range(3) for b2 in range(3 - b1) for k in range(module.dim)]
+        cache: dict = {}
+
+        def letter_on(letter, terms):
+            out: dict = {}
+            for key, c in terms.items():
+                res = cache.get((letter, key))
+                if res is None:
+                    res = act_letter(letter, TVector({key: 1}, a=a, module=module)).terms
+                    cache[(letter, key)] = res
+                for k2, c2 in res.items():
+                    accumulate(out, k2, c * c2)
+            return out
+
+        def suite_sum(op, key):
+            ej = (1, 0) if op.j == 1 else (0, 1)
+            total: dict = {}
+            for i in range(op.m + 1):
+                inner = (op.beta[0] + ej[0] * i, op.beta[1] + ej[1] * i)
+                first = (op.alpha[0] + ej[0] * (op.m - i), op.alpha[1] + ej[1] * (op.m - i))
+                if first == (-1, -1) or inner == (-1, -1):
+                    continue
+                piece = letter_on(L_letter(first), letter_on(L_letter(inner), {key: 1}))
+                for k2, c2 in piece.items():
+                    accumulate(total, k2, (-1) ** i * comb0(op.m, i) * c2)
+            return total
+
+        nonzero = 0
+        for m, j, alpha, beta in itertools.product(range(3), (1, 2), indices, indices):
+            op = SigmaOp(m, j, alpha, beta)
+            for key in keys:
+                got = sigma_act(op, TVector({key: 1}, a=a, module=module))
+                assert suite_sum(op, key) == got.terms, (lam, op, key)
+                nonzero += bool(got.terms)
+        assert nonzero > 100  # the comparison is not between zeros
 
 
 def test_closure_probe_profiles():
