@@ -289,9 +289,6 @@ class Poly2(LinComb):
     def is_constant(self) -> bool:
         return self.degree() <= 0
 
-    def constant_value(self) -> Scalar:
-        return self.coeff((0, 0))
-
     def to_str(self, sym1: str = "t1", sym2: str = "t2") -> str:
         def body(exp):
             factors = []

@@ -139,7 +139,7 @@ def main(argv=None) -> int:
                 seed_vec = random_seed_vector(module, a, random.Random(args.seed))
             else:
                 seed_vec = eval_seed(parse_element(args.seed_expr), module, a)
-            report = closure_probe(module, a, seed_vec, args.degree, args.gen_degree)
+            report = closure_probe(seed_vec, args.degree, args.gen_degree)
             print(f"seed = {seed_vec}")
             print(f"trusted window: degree <= {report['window']}")
             for deg, (got, ambient) in sorted(report["table"].items()):

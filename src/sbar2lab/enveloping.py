@@ -26,8 +26,6 @@ from .lie import (
     Letter,
     P1_LETTER,
     P2_LETTER,
-    Sbar,
-    is_partial_letter,
     letter_bracket,
     letter_str,
 )
@@ -116,13 +114,6 @@ class UEnv(LinComb):
         if i == 1:
             return cls({(P1_LETTER,): 1})
         return cls({(P2_LETTER,): -1})
-
-    @classmethod
-    def from_sbar(cls, x: Sbar) -> "UEnv":
-        return cls({(letter,): c for letter, c in x.terms.items()})
-
-    def has_partials(self) -> bool:
-        return any(is_partial_letter(l) for w in self.terms for l in w)
 
     def __str__(self):
         return _sorted_str(self.terms, word_str)

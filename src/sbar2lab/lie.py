@@ -72,10 +72,6 @@ def letter_degree(letter: Letter) -> int:
     return letter[2] + letter[3]
 
 
-def is_partial_letter(letter: Letter) -> bool:
-    return letter[0] >= 2
-
-
 def letter_str(letter: Letter) -> str:
     if letter == D2:
         return "d2"

@@ -2,10 +2,11 @@
 
 EchelonSpan grows the reduced row echelon basis of a span of sparse
 dict-vectors (key -> exact scalar) and is the package's only elimination
-routine. ``rref`` inserts the nonzero entries of each matrix row (most entries
-here are zero) as ``{column: value}``; the reduced row echelon form is unique, so
-the stored rows ordered by pivot are exactly that form, and ``rank``,
-``nullspace`` and ``solve`` read it off ``rref``. The one pivot inverse is
+routine. ``nullspace`` takes sparse rows ``{column: value}`` and returns sparse
+kernel vectors read off one span ordered by column index. ``rref`` inserts
+the nonzero entries of each dense matrix row the same way; the reduced row
+echelon form is unique, so the stored rows ordered by pivot are exactly that
+form, and ``rank`` and ``solve`` read it off ``rref``. The one pivot inverse is
 taken with ``qdiv`` in ``EchelonSpan.add``, and every stored entry passes
 through ``as_scalar``, so an integral entry is an int.
 """
@@ -38,20 +39,20 @@ def rank(rows: list[list[Scalar]]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
-    """Basis of the right kernel of the matrix (rows may be empty)."""
-    if not rows:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(v)
-    return basis
+def nullspace(rows: list[dict], ncols: int) -> list[dict]:
+    """Basis of the right kernel of the sparse rows ``{column: value}`` over
+    columns ``0..ncols-1`` (rows may be empty), one vector ``{column: value}``
+    per free column in increasing order: 1 there, minus the reduced rows'
+    entries in that column at their pivots."""
+    span = EchelonSpan()
+    for r in rows:
+        span.add(r)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in span._rows}
+    for pc in sorted(span.pivot_keys()):
+        for j, c in span._rows[pc].items():
+            if j != pc:
+                basis[j][pc] = -c
+    return list(basis.values())
 
 
 def solve(columns: list[list[Scalar]], target: list[Scalar]):

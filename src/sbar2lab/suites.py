@@ -30,6 +30,7 @@ from .centralizer import (
     pi1,
 )
 from .enveloping import Loc, UEnv, reduce_mod_I1
+from .expr import eval_loc, parse_element
 from .gl2 import Gl2Poly, gl2_simple
 from .lie import (
     D2,
@@ -57,6 +58,7 @@ from .tmodule import (
     joint_kernel,
     random_seed_vector,
     sigma_act,
+    sigma_terms,
     uh_freeness_check,
     whittaker_space,
 )
@@ -89,6 +91,26 @@ def _y_indices(max_degree: int):
 
 def _fmt(idx) -> str:
     return f"({idx[0]},{idx[1]})"
+
+
+def _parse_loc(text: str) -> Loc:
+    return eval_loc(parse_element(text))
+
+
+def _display_cases(name: str, lhs: str, texts: dict, value, expected) -> list:
+    """Display-regression cases, one per ``alpha: text`` entry: ``value(alpha)``
+    must equal ``expected(text)``. ``name`` and ``lhs`` are templates for the
+    formatted index; the anchor reads ``lhs = text``."""
+    cases = []
+    for alpha, text in sorted(texts.items()):
+
+        def thunk(alpha=alpha, text=text):
+            got = value(alpha)
+            return (PASS, {}) if got == expected(text) else (FAIL, {"got": str(got), "expected": text})
+
+        idx = _fmt(alpha)
+        cases.append((name.format(idx), f"{lhs.format(idx)} = {text}", "display-regression", thunk))
+    return cases
 
 
 # --- suite builders ---------------------------------------------------------
@@ -451,46 +473,27 @@ def _suite_sigma(max_degree: int, rng) -> list:
             for b2 in range(max_degree + 1 - b1)
             for k in range(module.dim)
         ]
-        cache: dict = {}
+        # act_letter images of basis keys, kept for this one search
+        memo: dict = {}
 
-        def letter_on(letter, terms: dict) -> dict:
-            out: dict = {}
-            for key, c in terms.items():
-                res = cache.get((letter, key))
-                if res is None:
-                    res = act_letter(
-                        letter, TVector({key: 1}, a=a, module=module)
-                    ).terms
-                    cache[(letter, key)] = res
-                for k2, c2 in res.items():
-                    accumulate(out, k2, c * c2)
-            return out
+        def image(letter, key) -> dict:
+            res = memo.get((letter, key))
+            if res is None:
+                res = memo[(letter, key)] = act_letter(letter, TVector({key: 1}, a=a, module=module)).terms
+            return res
 
         def annihilates(m: int) -> bool:
-            from .base import comb0
-
-            for j, ej in ((1, (1, 0)), (2, (0, 1))):
+            for j in (1, 2):
                 for beta in indices:
-                    inner = []
-                    for i in range(m + 1):
-                        idx = (beta[0] + ej[0] * i, beta[1] + ej[1] * i)
-                        inner.append(idx)
+                    ops = [sigma_terms(SigmaOp(m, j, alpha, beta)) for alpha in indices]
                     for key in keys:
-                        base = {key: 1}
-                        inners = [
-                            None if idx == (-1, -1) else letter_on(L_letter(idx), base)
-                            for idx in inner
-                        ]
-                        for alpha in indices:
+                        for terms in ops:
                             total: dict = {}
-                            for i in range(m + 1):
-                                first = (alpha[0] + ej[0] * (m - i), alpha[1] + ej[1] * (m - i))
-                                if first == (-1, -1) or inners[i] is None:
-                                    continue
-                                piece = letter_on(L_letter(first), inners[i])
-                                coeff = (-1) ** i * comb0(m, i)
-                                for k2, c2 in piece.items():
-                                    accumulate(total, k2, coeff * c2)
+                            for first, second, coeff in terms:
+                                for k1, c1 in image(second, key).items():
+                                    f = coeff * c1
+                                    for k2, c2 in image(first, k1).items():
+                                        accumulate(total, k2, f * c2)
                             if total:
                                 return False
             return True
@@ -579,28 +582,10 @@ def _suite_y_centralizer(max_degree: int, rng) -> list:
         (1, 0): "L(1,0) - L(1,-1)*d2 - d1^2 - d1",
         (0, 1): "L(0,1) - L(-1,1)*d1 + d2^2 + d2",
     }
-    from .expr import eval_loc, parse_element
-
-    for alpha, text in sorted(displays.items()):
-
-        def thunk(alpha=alpha, text=text):
-            got = y_element(alpha)
-            expect = eval_loc(parse_element(text))
-            return (PASS, {}) if got == expect else (FAIL, {"got": str(got), "expected": text})
-
-        cases.append(
-            (f"display-Y{_fmt(alpha)}", f"Y{_fmt(alpha)} = {text}", "display-regression", thunk)
-        )
-    for alpha, text in sorted(xi_displays.items()):
-
-        def thunk(alpha=alpha, text=text):
-            got = Loc.from_uenv(xi_y(alpha))
-            expect = eval_loc(parse_element(text))
-            return (PASS, {}) if got == expect else (FAIL, {"got": str(got), "expected": text})
-
-        cases.append(
-            (f"display-xi{_fmt(alpha)}", f"xi(Y{_fmt(alpha)}) = {text}", "display-regression", thunk)
-        )
+    cases += _display_cases("display-Y{}", "Y{}", displays, y_element, _parse_loc)
+    cases += _display_cases(
+        "display-xi{}", "xi(Y{})", xi_displays, lambda alpha: Loc.from_uenv(xi_y(alpha)), _parse_loc
+    )
     return cases
 
 
@@ -681,18 +666,14 @@ def _suite_pi1_compare(max_degree: int, rng) -> list:
         (1, 0): ("2*E12*E22 - E11^2 - E11", (G(1, 2) * G(2, 2) * 2 - G(1, 1) * G(1, 1) - G(1, 1))),
         (0, 1): ("-2*E21*E11 + E22^2 + E22", (G(2, 1) * G(1, 1) * -2 + G(2, 2) * G(2, 2) + G(2, 2))),
     }
-    cases = []
-    for alpha, (text, expect) in sorted(displays.items()):
-
-        def thunk(alpha=alpha, text=text, expect=expect):
-            formal, _ = pi1(alpha)
-            if formal == expect.normalized():
-                return PASS, {}
-            return FAIL, {"got": str(formal), "expected": text}
-
-        cases.append(
-            (f"pi1-display{_fmt(alpha)}", f"pi1(Y{_fmt(alpha)}) = {text}", "display-regression", thunk)
-        )
+    images = dict(displays.values())  # display text -> formal image
+    cases = _display_cases(
+        "pi1-display{}",
+        "pi1(Y{})",
+        {alpha: text for alpha, (text, _) in displays.items()},
+        lambda alpha: pi1(alpha)[0],
+        lambda text: images[text].normalized(),
+    )
     for alpha in H_GENERATORS:
         for lam in LAMBDA_GRID:
 
@@ -772,7 +753,7 @@ def _suite_closure(max_degree: int, rng) -> list:
     def reducible_case():
         module = gl2_simple((1, 0))
         seed = TVector.basis(module, (1, 1), (0, 0), 0) + TVector.basis(module, (1, 1), (0, 0), 1)
-        report = closure_probe(module, (1, 1), seed, max_degree, gen_degree)
+        report = closure_probe(seed, max_degree, gen_degree)
         status = PASS if report["proper"] and report["tracked_rank"] > 0 else FAIL
         return status, {"table": {str(k): list(v) for k, v in report["table"].items()}}
 
@@ -791,7 +772,7 @@ def _suite_closure(max_degree: int, rng) -> list:
         def thunk(lam=lam, draw=local.randrange(1 << 30)):
             module = gl2_simple(lam)
             seed = random_seed_vector(module, (1, 1), random.Random(draw))
-            report = closure_probe(module, (1, 1), seed, max_degree, gen_degree)
+            report = closure_probe(seed, max_degree, gen_degree)
             status = PASS if report["full"] else FAIL
             return status, {"table": {str(k): list(v) for k, v in report["table"].items()}}
 
@@ -807,7 +788,7 @@ def _suite_closure(max_degree: int, rng) -> list:
     def untwisted():
         module = gl2_simple((1, 0))
         seed = TVector.basis(module, (0, 0), (0, 0), 0) + TVector.basis(module, (0, 0), (0, 0), 1)
-        report = closure_probe(module, (0, 0), seed, max_degree, gen_degree)
+        report = closure_probe(seed, max_degree, gen_degree)
         return PASS, {"table": {str(k): list(v) for k, v in report["table"].items()}}
 
     cases.append(

@@ -11,7 +11,9 @@ its type vector a. A basis letter acts through
 
 where the polynomial factor is acted on with d/dt_i shifted by a_i. Whenever
 one of the exponent shifts leaves Z_+^2 its scalar prefactor vanishes, so the
-displayed formula needs no boundary cases. Degree-lowering operators act
+displayed formula needs no boundary cases. The constant fields are letters
+too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T, so ``act_letter`` is the
+only place the action is written out. Degree-lowering operators act
 exactly; the closure probe projects onto a degree window and reports
 dimensions only where the projection cannot have discarded contributions.
 """
@@ -19,10 +21,10 @@ dimensions only where the projection cannot have discarded contributions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .base import E1, E2, LinComb, MultiIndex, Poly2, Scalar, accumulate, as_scalar, comb0, madd, msub, mtotal, terms_str
+from .base import E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, madd, msub, mtotal, terms_str
 from .enveloping import Loc, UEnv, Word, loc_act
 from .gl2 import Gl2Module, mat_mul, mat_identity, pi_letter
-from .lie import D2, L_letter, Letter, Sbar, l_basis, letter_degree
+from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_basis, letter_degree
 from .linalg import EchelonSpan, nullspace
 
 TKey = tuple[MultiIndex, int]  # (polynomial exponent, weight basis index)
@@ -153,16 +155,11 @@ def act_uenv(u: UEnv, w: TVector) -> TVector:
 
 
 def act_partial(i: int, w: TVector) -> TVector:
-    """Module action of d/dt_i (the shifted derivative on the polynomial part)."""
-    ai = w.a[i - 1]
-    out: dict = {}
-    for (beta, k), c in w.terms.items():
-        e = beta[i - 1]
-        if e:
-            accumulate(out, (msub(beta, E1 if i == 1 else E2), k), c * e)
-        if ai:
-            accumulate(out, (beta, k), c * ai)
-    return w._new(out)
+    """Module action of d/dt_i: the letter L(-1,0) for i=1 and minus the
+    letter L(0,-1) for i=2, as in ``UEnv.partial``."""
+    if i == 1:
+        return act_letter(P1_LETTER, w)
+    return -act_letter(P2_LETTER, w)
 
 
 def act_loc(x: Loc, w: TVector) -> TVector:
@@ -271,51 +268,42 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     """
     keys = slice_keys(module, degree)
     index = {key: pos for pos, key in enumerate(keys)}
-    rows: list[list[Scalar]] = []
+    rows: list[dict] = []
     for op, scalar in ops:
-        cols = []
-        for key in keys:
-            v = op(TVector({key: 1}, a=a, module=module))
-            coords = dict(v.terms)
+        block: dict = {}  # output position -> sparse row {column: value}
+        for j, key in enumerate(keys):
+            coords = dict(op(TVector({key: 1}, a=a, module=module)).terms)
             accumulate(coords, key, -scalar)
-            if any(k not in index for k in coords):
-                raise ValueError("operator left the degree slice")
-            cols.append(coords)
-        for out_key in keys:
-            row = [cols[j].get(out_key, 0) for j in range(len(keys))]
-            if any(row):
-                rows.append(row)
-    basis = nullspace(rows, len(keys))
-    out = []
-    for vec in basis:
-        terms = {keys[j]: vec[j] for j in range(len(keys)) if vec[j]}
-        out.append(TVector(terms, a=a, module=module))
-    return out
-
-
-def h_monomial_env(m: MultiIndex) -> UEnv:
-    """d1^m1 d2^m2 expanded into the letter basis."""
-    return UEnv.d1() ** m[0] * UEnv.d2() ** m[1]
+            for out_key, c in coords.items():
+                if out_key not in index:
+                    raise ValueError("operator left the degree slice")
+                block.setdefault(index[out_key], {})[j] = c
+        rows.extend(block.values())
+    return [
+        TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module)
+        for vec in nullspace(rows, len(keys))
+    ]
 
 
 def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
-    """Rank of the Cartan translates of the constant vectors up to total
-    degree ``degree``; full rank witnesses freeness on the window."""
+    """Rank of the Cartan translates d1^m1 d2^m2 (1 x v_k), m1 + m2 <=
+    ``degree``, of the constant vectors; full rank witnesses freeness on the
+    window. Each translate is built letter by letter, d2 m2 times and then
+    d1 = L(0,0) + d2 m1 times."""
     a = (as_scalar(a[0]), as_scalar(a[1]))
     if not (a[0] and a[1]):
         raise ValueError("freeness check needs a nonsingular type vector")
-    vectors = []
-    count = 0
-    for m1 in range(degree + 1):
-        for m2 in range(degree + 1 - m1):
-            env = h_monomial_env((m1, m2))
-            count += 1
-            for k in range(module.dim):
-                w = act_uenv(env, TVector.basis(module, a, (0, 0), k))
-                vectors.append(dict(w.terms))
     span = EchelonSpan()
-    for v in vectors:
-        span.add(v)
+    for k in range(module.dim):
+        d2_power = TVector.basis(module, a, (0, 0), k)
+        for m2 in range(degree + 1):
+            w = d2_power
+            for m1 in range(degree + 1 - m2):
+                if m1:
+                    w = act_letter(L_letter((0, 0)), w) + act_letter(D2, w)
+                span.add(dict(w.terms))
+            d2_power = act_letter(D2, d2_power)
+    count = (degree + 1) * (degree + 2) // 2
     expected = count * module.dim
     return {
         "rank": span.rank,
@@ -345,23 +333,30 @@ class SigmaOp:
                 raise ValueError(f"index {idx} below the allowed range")
 
 
-def sigma_act(op: SigmaOp, w: TVector) -> TVector:
+def sigma_terms(op: SigmaOp) -> list[tuple[Letter, Letter, int]]:
+    """The operator as (first, second, coeff) triples, sigma = sum of
+    coeff * L_first L_second: for i = 0..m, first = alpha + (m-i) e_j and
+    second = beta + i e_j with coeff (-1)^i C(m, i); a term whose index hits
+    the corner (-1,-1) is skipped."""
     ej = E1 if op.j == 1 else E2
-    out = w._new({})
+    out = []
     for i in range(op.m + 1):
         first = madd(op.alpha, (ej[0] * (op.m - i), ej[1] * (op.m - i)))
         second = madd(op.beta, (ej[0] * i, ej[1] * i))
         if first == (-1, -1) or second == (-1, -1):
             continue
-        v = act_letter(L_letter(second), w)
-        v = act_letter(L_letter(first), v)
-        out = out + v * ((-1) ** i * comb0(op.m, i))
+        out.append((L_letter(first), L_letter(second), (-1) ** i * comb0(op.m, i)))
     return out
 
 
-def closure_probe(
-    module: Gl2Module, a, seed: TVector, degree: int, gen_degree: int
-) -> dict:
+def sigma_act(op: SigmaOp, w: TVector) -> TVector:
+    out = w._new({})
+    for first, second, coeff in sigma_terms(op):
+        out = out + act_letter(first, act_letter(second, w)) * coeff
+    return out
+
+
+def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     """Grow the submodule generated by the seed inside the degree-``degree``
     truncation under all letters of degree between -1 and ``gen_degree`` plus
     d2, and report slice dimensions on the trusted window.
@@ -372,7 +367,7 @@ def closure_probe(
     error can leak into low degrees through the degree-lowering letters.
     Reported dimensions are therefore true dimensions of a subspace of the
     submodule slice, saturating on the trusted window degree <= cap minus
-    generator degree."""
+    generator degree. The module and the type vector are the seed's own."""
     if degree < 0 or gen_degree < 0:
         raise ValueError("degree caps must be nonnegative")
     if seed.is_zero():
@@ -415,7 +410,7 @@ def closure_probe(
     table = {}
     for d in range(window + 1):
         closure_dim = sum(1 for pd in pivot_degrees if pd <= d)
-        ambient = (d + 1) * (d + 2) // 2 * module.dim
+        ambient = (d + 1) * (d + 2) // 2 * seed.module.dim
         table[d] = (closure_dim, ambient)
     return {
         "window": window,

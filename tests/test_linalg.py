@@ -26,13 +26,13 @@ def test_rref_and_rank():
 
 
 def test_nullspace_dimension_and_membership():
-    m = F([[1, 2, 3], [4, 5, 6]])
+    m = [{0: Fraction(1), 1: Fraction(2), 2: Fraction(3)}, {0: Fraction(4), 1: Fraction(5), 2: Fraction(6)}]
     basis = nullspace(m, 3)
     assert len(basis) == 1
     v = basis[0]
     for row in m:
-        assert sum(a * b for a, b in zip(row, v)) == 0
-    assert nullspace([], 4) != []
+        assert sum(c * v.get(j, 0) for j, c in row.items()) == 0
+    assert nullspace([], 4) == [{0: 1}, {1: 1}, {2: 1}, {3: 1}]
 
 
 def test_solve():
@@ -46,23 +46,23 @@ def test_int_rows_give_fractions_and_floats_are_rejected():
     reduced, pivots = rref([[2, 1], [1, 3]])
     assert reduced == [[1, 0], [0, 1]] and pivots == [0, 1]
     assert rank([[2, 4], [1, 2]]) == 1
-    basis = nullspace([[2, 4], [1, 2]], 2)
-    assert basis == [[-2, 1]]
+    basis = nullspace([{0: 2, 1: 4}, {0: 1, 1: 2}], 2)
+    assert basis == [{0: -2, 1: 1}]
     x = solve([[2, 1], [1, 3]], [1, 0])
     assert x == [Fraction(3, 5), Fraction(-1, 5)]
-    for value in (reduced, basis, [x]):
+    for value in (reduced, [list(v.values()) for v in basis], [x]):
         # exact scalars: an int, or a Fraction, never a float
         assert all(type(c) in (int, Fraction) for row in value for c in row)
         # and an integral one is an int
         assert not any(integral_fraction(c) for row in value for c in row)
     # Fraction input too: rref([[2, 1], [1, 3]]) held Fraction(1) and Fraction(0)
-    for value in (rref(F([[2, 1], [1, 3]]))[0], nullspace(F([[2, 4], [1, 2]]), 2)):
-        assert not any(integral_fraction(c) for row in value for c in row)
+    assert not any(integral_fraction(c) for row in rref(F([[2, 1], [1, 3]]))[0] for c in row)
+    assert not any(integral_fraction(c) for v in nullspace(as_vectors(F([[2, 4], [1, 2]])), 2) for c in v.values())
     assert not any(integral_fraction(c) for c in solve(F([[2, 1], [4, 3]]), F([[2, 4]])[0]))
     for call in (
         lambda: rref([[0.5, 1]]),
         lambda: rank([[0.5]]),
-        lambda: nullspace([[1, 0.5]], 2),
+        lambda: nullspace([{0: 1, 1: 0.5}], 2),
         lambda: solve([[1.0]], [1]),
     ):
         with pytest.raises(TypeError):
@@ -176,11 +176,20 @@ def test_rref_equals_dense_gauss_jordan(m):
 @given(matrices())
 def test_nullspace_annihilates_and_has_full_dimension(m):
     ncols = len(m[0]) if m else 3
-    basis = nullspace(m, ncols)
-    assert len(basis) == ncols - len(gauss_jordan(m)[1])
-    assert rank(basis) == len(basis)
+    basis = nullspace(as_vectors(m), ncols)
+    reduced, pivots = gauss_jordan(m)
+    assert len(basis) == ncols - len(pivots)
+    dense = [[v.get(j, 0) for j in range(ncols)] for v in basis]
+    assert rank(dense) == len(basis)
+    # read off the dense reference RREF: 1 at a free column, minus the
+    # reduced rows' entries there at their pivots
+    free = [c for c in range(ncols) if c not in pivots]
+    for fc, v in zip(free, dense):
+        assert v == [1 if j == fc else -reduced[pivots.index(j)][fc] if j in pivots else 0 for j in range(ncols)]
     for v in basis:
-        assert not any(integral_fraction(c) for c in v)
+        assert not any(integral_fraction(c) for c in v.values())
+        assert all(v.values())  # sparse: no stored zeros
+    for v in dense:
         for row in m:
             assert dot(row, v) == 0
 

@@ -158,3 +158,14 @@ def test_linalg_has_one_elimination_routine():
     sites = _calls(MODULES["linalg.py"], "qdiv")
     inside = _calls(_method("linalg.py", "EchelonSpan", "add"), "qdiv")
     assert len(sites) == 1 and sites == inside, [node.lineno for node in sites]
+
+
+def test_module_action_is_written_out_once():
+    # act_letter is the only place a gl_2 matrix column acts on a tensor
+    # vector, and the sigma suite takes its letters and coefficients from
+    # sigma_terms instead of doing the index arithmetic itself
+    sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "column")]
+    inside = [("tmodule.py", node.lineno) for node in _calls(_function("tmodule.py", "act_letter"), "column")]
+    assert sites and sites == inside, sites
+    sigma = _function("suites.py", "_suite_sigma")
+    assert [node.lineno for name in ("L_letter", "comb0") for node in _calls(sigma, name)] == []

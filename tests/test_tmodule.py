@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbar2lab.base import accumulate, comb0
+from sbar2lab.base import Poly2, accumulate
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2, L_letter, Sbar, sbar_bracket
@@ -17,8 +19,8 @@ from sbar2lab.tmodule import (
     act_sbar,
     act_tensoralg,
     closure_probe,
-    h_monomial_env,
     sigma_act,
+    sigma_terms,
     t_act,
     uh_freeness_check,
     whittaker_space,
@@ -60,6 +62,31 @@ def test_derived_vectors_reuse_the_coerced_type_vector():
         assert v.a is w.a and v.module is m
     with pytest.raises(TypeError):
         TVector({((0, 0), 0): 1}, a=(0.5, 1), module=m)
+
+
+SMALL_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def tensor_vectors(draw):
+    """Random vectors on T(a, V) for small lam, with a_i = 0 allowed."""
+    module = gl2_simple(draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 0), (3, 1)])))
+    a = (draw(SMALL_SCALARS), draw(SMALL_SCALARS))
+    key = st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, module.dim - 1))
+    terms = draw(st.dictionaries(key, SMALL_SCALARS, max_size=8))
+    return TVector(terms, a=a, module=module)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_vectors(), st.sampled_from([1, 2]))
+def test_partial_is_the_shifted_derivative(w, i):
+    # oracle: on each weight component p x v_k, d/dt_i acts by p -> dp/dt_i + a_i p
+    expect: dict = {}
+    for k in range(w.module.dim):
+        p = Poly2({beta: c for (beta, kk), c in w.terms.items() if kk == k})
+        for beta, c in (p.diff(i) + p * w.a[i - 1]).terms.items():
+            accumulate(expect, (beta, k), c)
+    assert act_partial(i, w) == TVector(expect, a=w.a, module=w.module)
 
 
 def test_localized_action_inverts():
@@ -155,9 +182,18 @@ def test_freeness_examples():
         uh_freeness_check(gl2_simple((1, 0)), (1, 0), 2)
 
 
-def test_h_monomial_env():
-    assert h_monomial_env((0, 0)) == UEnv.one()
-    assert h_monomial_env((1, 1)) == UEnv.d1() * UEnv.d2()
+def test_sigma_terms_pinned():
+    L = L_letter
+    # m = 1: L(1,0) L(0,0) - L(0,0) L(1,0)
+    assert sigma_terms(SigmaOp(1, 1, (0, 0), (0, 0))) == [(L((1, 0)), L((0, 0)), 1), (L((0, 0)), L((1, 0)), -1)]
+    assert sigma_terms(SigmaOp(2, 2, (0, 0), (1, -1))) == [
+        (L((0, 2)), L((1, -1)), 1),
+        (L((0, 1)), L((1, 0)), -2),
+        (L((0, 0)), L((1, 1)), 1),
+    ]
+    # a term whose index hits the corner is skipped
+    assert sigma_terms(SigmaOp(0, 1, (-1, -1), (0, 0))) == []
+    assert sigma_terms(SigmaOp(1, 1, (-1, -1), (0, 0))) == [(L((0, -1)), L((0, 0)), 1)]
 
 
 def test_sigma_examples():
@@ -178,38 +214,29 @@ def test_sigma_examples():
 
 def test_sigma_suite_dict_path_matches_sigma_act():
     # The sigma-annihilation suite does not call sigma_act: it sums the
-    # alternating operator on dict vectors through a cache of act_letter
-    # images of basis keys. That path is rebuilt here the same way and
-    # compared with sigma_act on the suite's type vector and degree-2 slice.
+    # sigma_terms of an operator on dict vectors, reading a memo of
+    # act_letter images of basis keys (inner image, then outer image). That
+    # path is rebuilt here the same way and compared with sigma_act on the
+    # suite's type vector and degree-2 slice.
     a = (0, 0)
     indices = [(-1, -1), (-1, 1), (0, 0), (1, -1), (2, 0)]
     for lam in ((1, 0), (2, -1)):
         module = gl2_simple(lam)
         keys = [((b1, b2), k) for b1 in range(3) for b2 in range(3 - b1) for k in range(module.dim)]
-        cache: dict = {}
+        memo: dict = {}
 
-        def letter_on(letter, terms):
-            out: dict = {}
-            for key, c in terms.items():
-                res = cache.get((letter, key))
-                if res is None:
-                    res = act_letter(letter, TVector({key: 1}, a=a, module=module)).terms
-                    cache[(letter, key)] = res
-                for k2, c2 in res.items():
-                    accumulate(out, k2, c * c2)
-            return out
+        def image(letter, key):
+            res = memo.get((letter, key))
+            if res is None:
+                res = memo[(letter, key)] = act_letter(letter, TVector({key: 1}, a=a, module=module)).terms
+            return res
 
         def suite_sum(op, key):
-            ej = (1, 0) if op.j == 1 else (0, 1)
             total: dict = {}
-            for i in range(op.m + 1):
-                inner = (op.beta[0] + ej[0] * i, op.beta[1] + ej[1] * i)
-                first = (op.alpha[0] + ej[0] * (op.m - i), op.alpha[1] + ej[1] * (op.m - i))
-                if first == (-1, -1) or inner == (-1, -1):
-                    continue
-                piece = letter_on(L_letter(first), letter_on(L_letter(inner), {key: 1}))
-                for k2, c2 in piece.items():
-                    accumulate(total, k2, (-1) ** i * comb0(op.m, i) * c2)
+            for first, second, coeff in sigma_terms(op):
+                for k1, c1 in image(second, key).items():
+                    for k2, c2 in image(first, k1).items():
+                        accumulate(total, k2, coeff * c1 * c2)
             return total
 
         nonzero = 0
@@ -225,14 +252,14 @@ def test_sigma_suite_dict_path_matches_sigma_act():
 def test_closure_probe_profiles():
     m = gl2_simple((1, 0))
     seed = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (0, 0), 1)
-    report = closure_probe(m, (1, 1), seed, 5, 2)
+    report = closure_probe(seed, 5, 2)
     assert report["proper"] and not report["full"]
     assert report["table"] == {0: (1, 2), 1: (3, 6), 2: (6, 12), 3: (10, 20)}
     # a generic vector generates everything
-    report = closure_probe(m, (1, 1), basis(m, (1, 1), (0, 0), 0), 5, 2)
+    report = closure_probe(basis(m, (1, 1), (0, 0), 0), 5, 2)
     assert report["full"]
     with pytest.raises(ValueError):
-        closure_probe(m, (1, 1), TVector.zero_of(m, (1, 1)), 4, 2)
+        closure_probe(TVector.zero_of(m, (1, 1)), 4, 2)
 
 
 def test_closure_probe_random_seed_simple_case():
@@ -240,5 +267,21 @@ def test_closure_probe_random_seed_simple_case():
     m = gl2_simple((1, 1))
     terms = {((b1, b2), 0): Fraction(rng.randrange(-2, 3)) for b1 in range(2) for b2 in range(2 - b1)}
     terms = {k: c for k, c in terms.items() if c} or {((0, 0), 0): Fraction(1)}
-    report = closure_probe(m, (1, 1), TVector(terms, a=(1, 1), module=m), 5, 2)
+    report = closure_probe(TVector(terms, a=(1, 1), module=m), 5, 2)
     assert report["full"]
+
+
+def test_closure_probe_reads_module_and_type_from_the_seed():
+    for lam in ((0, 0), (1, 0), (2, 0)):
+        m = gl2_simple(lam)
+        report = closure_probe(basis(m, (1, 1), (0, 0), 0), 4, 2)
+        assert [amb for _, amb in report["table"].values()] == [(d + 1) * (d + 2) // 2 * m.dim for d in range(3)]
+    # the type vector is the seed's: the same constants give different tables
+    m = gl2_simple((1, 0))
+    tables = {
+        (1, 1): {0: (1, 2), 1: (3, 6), 2: (6, 12), 3: (10, 20)},
+        (0, 0): {0: (2, 2), 1: (5, 6), 2: (9, 12), 3: (14, 20)},
+    }
+    for a, table in tables.items():
+        seed = basis(m, a, (0, 0), 0) + basis(m, a, (0, 0), 1)
+        assert closure_probe(seed, 5, 2)["table"] == table
