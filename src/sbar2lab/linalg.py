@@ -6,7 +6,7 @@ routine. ``nullspace`` takes sparse rows ``{column: value}`` and returns sparse
 kernel vectors read off one span ordered by column index. ``rref`` inserts
 the nonzero entries of each dense matrix row the same way; the reduced row
 echelon form is unique, so the stored rows ordered by pivot are exactly that
-form, and ``rank`` and ``solve`` read it off ``rref``. The one pivot inverse is
+form, and ``solve`` reads it off ``rref``. The one pivot inverse is
 taken with ``qdiv`` in ``EchelonSpan.add``, and every stored entry passes
 through ``as_scalar``, so an integral entry is an int.
 """
@@ -33,10 +33,6 @@ def rref(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
             dense[j] = c
         reduced.append(dense)
     return reduced, pivots
-
-
-def rank(rows: list[list[Scalar]]) -> int:
-    return len(rref(rows)[1])
 
 
 def nullspace(rows: list[dict], ncols: int) -> list[dict]:
@@ -129,10 +125,3 @@ def _axpy(acc: dict, f: Scalar, row: dict, pivot) -> None:
             accumulate(acc, k, f * c)
             if k in acc:
                 acc[k] = as_scalar(acc[k])
-
-
-def rank_of_vectors(vectors, key_rank=None) -> int:
-    span = EchelonSpan(key_rank)
-    for v in vectors:
-        span.add(v)
-    return span.rank

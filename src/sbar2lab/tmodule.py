@@ -13,9 +13,12 @@ where the polynomial factor is acted on with d/dt_i shifted by a_i. Whenever
 one of the exponent shifts leaves Z_+^2 its scalar prefactor vanishes, so the
 displayed formula needs no boundary cases. The constant fields are letters
 too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T, so ``act_letter`` is the
-only place the action is written out. Degree-lowering operators act
-exactly; the closure probe projects onto a degree window and reports
-dimensions only where the projection cannot have discarded contributions.
+only place the action is written out. ``BasisImages`` memoizes the images of
+basis keys for one check or one search, never at module level; the action is
+linear, so they determine every letter product on every vector.
+Degree-lowering operators act exactly; the closure probe projects onto a
+degree window and reports dimensions only where the projection cannot have
+discarded contributions.
 """
 
 from __future__ import annotations
@@ -132,6 +135,36 @@ def act_letter(letter: Letter, w: TVector) -> TVector:
             for kk, m in w.module.column(ij, k):
                 accumulate(out, (exp, kk), c * g * m)
     return w._new(out)
+
+
+class BasisImages:
+    """``act_letter`` images of basis keys on T(a, V) for one module and type
+    vector, memoized for the lifetime of one check or one search."""
+
+    __slots__ = ("module", "a", "_memo")
+
+    def __init__(self, module: Gl2Module, a):
+        self.module = module
+        self.a = a
+        self._memo: dict = {}
+
+    def image(self, letter: Letter, key: TKey) -> dict:
+        """The terms of ``act_letter(letter, e_key)``; read, do not mutate."""
+        res = self._memo.get((letter, key))
+        if res is None:
+            res = self._memo[(letter, key)] = act_letter(letter, TVector({key: 1}, a=self.a, module=self.module)).terms
+        return res
+
+    def pairs_on(self, terms, key: TKey) -> dict:
+        """sum of coeff * L_first L_second e_key over ``(first, second, coeff)``
+        triples, as in ``sigma_terms``: the inner image, then the outer one."""
+        total: dict = {}
+        for first, second, coeff in terms:
+            for k1, c1 in self.image(second, key).items():
+                f = coeff * c1
+                for k2, c2 in self.image(first, k1).items():
+                    accumulate(total, k2, f * c2)
+        return total
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:

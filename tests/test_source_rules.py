@@ -169,3 +169,12 @@ def test_module_action_is_written_out_once():
     assert sites and sites == inside, sites
     sigma = _function("suites.py", "_suite_sigma")
     assert [node.lineno for name in ("L_letter", "comb0") for node in _calls(sigma, name)] == []
+
+
+def test_suites_evaluate_letter_products_through_basis_images():
+    # action-axioms and the sigma search read letter images of basis keys
+    # from one BasisImages per case or search instead of acting again
+    suites = [_function("suites.py", name) for name in ("_suite_action_axioms", "_suite_sigma")]
+    sites = [node.lineno for tree in suites for name in ("act_letter", "act_sbar") for node in _calls(tree, name)]
+    assert sites == []
+    assert all(_calls(tree, "BasisImages") for tree in suites)

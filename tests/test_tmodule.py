@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbar2lab import suites
 from sbar2lab.base import Poly2, accumulate
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2, L_letter, Sbar, sbar_bracket
+from sbar2lab.report import FAIL
+from sbar2lab.suites import _letters, run_suite
 from sbar2lab.tmodule import (
+    BasisImages,
     SigmaOp,
     TVector,
     act_letter,
@@ -21,6 +25,7 @@ from sbar2lab.tmodule import (
     closure_probe,
     sigma_act,
     sigma_terms,
+    slice_keys,
     t_act,
     uh_freeness_check,
     whittaker_space,
@@ -87,6 +92,17 @@ def test_partial_is_the_shifted_derivative(w, i):
         for beta, c in (p.diff(i) + p * w.a[i - 1]).terms.items():
             accumulate(expect, (beta, k), c)
     assert act_partial(i, w) == TVector(expect, a=w.a, module=w.module)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_vectors(), st.sampled_from(_letters(2)))
+def test_act_letter_is_linear(w, letter):
+    # BasisImages rests on this: the images of basis keys determine the
+    # action on every vector
+    expect = TVector.zero_of(w.module, w.a)
+    for key, c in w.terms.items():
+        expect = expect + act_letter(letter, TVector({key: 1}, a=w.a, module=w.module)) * c
+    assert act_letter(letter, w) == expect
 
 
 def test_localized_action_inverts():
@@ -214,39 +230,51 @@ def test_sigma_examples():
 
 def test_sigma_suite_dict_path_matches_sigma_act():
     # The sigma-annihilation suite does not call sigma_act: it sums the
-    # sigma_terms of an operator on dict vectors, reading a memo of
-    # act_letter images of basis keys (inner image, then outer image). That
-    # path is rebuilt here the same way and compared with sigma_act on the
-    # suite's type vector and degree-2 slice.
+    # sigma_terms of an operator on a basis key through BasisImages.pairs_on
+    # (inner image, then outer image). That path is compared here with
+    # sigma_act on the suite's type vector and degree-2 slice.
     a = (0, 0)
     indices = [(-1, -1), (-1, 1), (0, 0), (1, -1), (2, 0)]
     for lam in ((1, 0), (2, -1)):
         module = gl2_simple(lam)
+        images = BasisImages(module, a)
         keys = [((b1, b2), k) for b1 in range(3) for b2 in range(3 - b1) for k in range(module.dim)]
-        memo: dict = {}
-
-        def image(letter, key):
-            res = memo.get((letter, key))
-            if res is None:
-                res = memo[(letter, key)] = act_letter(letter, TVector({key: 1}, a=a, module=module)).terms
-            return res
-
-        def suite_sum(op, key):
-            total: dict = {}
-            for first, second, coeff in sigma_terms(op):
-                for k1, c1 in image(second, key).items():
-                    for k2, c2 in image(first, k1).items():
-                        accumulate(total, k2, coeff * c1 * c2)
-            return total
-
         nonzero = 0
         for m, j, alpha, beta in itertools.product(range(3), (1, 2), indices, indices):
             op = SigmaOp(m, j, alpha, beta)
+            terms = sigma_terms(op)
             for key in keys:
                 got = sigma_act(op, TVector({key: 1}, a=a, module=module))
-                assert suite_sum(op, key) == got.terms, (lam, op, key)
+                assert images.pairs_on(terms, key) == got.terms, (lam, op, key)
                 nonzero += bool(got.terms)
         assert nonzero > 100  # the comparison is not between zeros
+
+
+def test_axiom_pairs_match_the_nested_action():
+    # The action-axioms suite sums x(y e_key) - y(x e_key) through
+    # BasisImages.pairs_on; compared here with nested act_letter calls.
+    letters = _letters(1)
+    for lam, a in (((1, 0), (1, 1)), ((2, 0), (Fraction(1, 2), 0))):
+        module = gl2_simple(lam)
+        images = BasisImages(module, a)
+        nonzero = 0
+        for x, y in itertools.combinations(letters, 2):
+            for key in slice_keys(module, 2):
+                w = TVector({key: 1}, a=a, module=module)
+                expect = act_letter(x, act_letter(y, w)) - act_letter(y, act_letter(x, w))
+                assert images.pairs_on(((x, y, 1), (y, x, -1)), key) == expect.terms, (lam, x, y, key)
+                nonzero += bool(expect.terms)
+        assert nonzero > 100  # the comparison is not between zeros
+
+
+def test_action_axioms_fail_under_a_negated_bracket(monkeypatch):
+    # negative control: the suite cannot pass vacuously, a wrong bracket
+    # fails every case
+    bracket = suites.sbar_bracket
+    monkeypatch.setattr(suites, "sbar_bracket", lambda x, y: -bracket(x, y))
+    report = run_suite("action-axioms", 0)
+    assert len(report.cases) == 9
+    assert all(case.status == FAIL for case in report.cases)
 
 
 def test_closure_probe_profiles():
