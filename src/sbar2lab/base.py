@@ -224,6 +224,16 @@ class LinComb:
         return f"{type(self).__name__}({self.terms!r})"
 
 
+def linear(pairs, image, out):
+    """Linear extension of ``image(key)``, an element or dict of terms: the sum
+    of c * image(key) over the ``(key, c)`` pairs, built once by ``out``."""
+    acc: dict = {}
+    for key, c in pairs:
+        for k, f in image(key).items():
+            accumulate(acc, k, c * f)
+    return out(acc)
+
+
 def bilinear(x: LinComb, y: LinComb, key_fn, out):
     """Bilinear extension of ``key_fn(k1, k2) -> iterable[(key, factor)]``."""
     acc = []

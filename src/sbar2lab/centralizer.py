@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import itertools
 
-from .base import MultiIndex, Poly2, accumulate, binom2, mtotal
+from .base import MultiIndex, Poly2, accumulate, binom2, linear, mtotal
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
 from .gl2 import Gl2Module, Gl2Poly, Matrix, gl2_simple, pi_env
+from .lie import l_indices
 from .linalg import EchelonSpan, solve
 from .tmodule import TVector, act_loc, act_partial
 
@@ -82,22 +83,14 @@ def g0_poly(alpha: MultiIndex) -> Poly2:
 
 def dpoly_to_uenv(p: Poly2) -> UEnv:
     """Expand a polynomial in d1, d2 through the letter basis."""
-    out = UEnv()
-    for (i, j), c in p.terms.items():
-        out = out + (UEnv.d1() ** i * UEnv.d2() ** j) * c
-    return out
+    return linear(p.items(), lambda exp: UEnv.d1() ** exp[0] * UEnv.d2() ** exp[1], UEnv)
 
 
-def _beta_range(alpha: MultiIndex):
+def _beta_range(alpha: MultiIndex) -> list[MultiIndex]:
     """Indices b with 0 <= |b| < |a|, b != 0, inside Z^2_{>=-1}; componentwise
     the binomial support bounds b_i <= a_i + 1."""
-    for b1 in range(-1, alpha[0] + 2):
-        for b2 in range(-1, alpha[1] + 2):
-            beta = (b1, b2)
-            if beta == (0, 0):
-                continue
-            if 0 <= mtotal(beta) < mtotal(alpha):
-                yield beta
+    low = l_indices(0, mtotal(alpha) - 1)
+    return [b for b in low if b != (0, 0) and b[0] <= alpha[0] + 1 and b[1] <= alpha[1] + 1]
 
 
 def y_terms(alpha: MultiIndex) -> list[tuple[UEnv, MultiIndex]]:
@@ -125,10 +118,8 @@ def y_element(alpha: MultiIndex) -> Loc:
 
 
 def xi_y(alpha: MultiIndex) -> UEnv:
-    out = UEnv()
-    for env, _beta in y_terms(alpha):
-        out = out + env
-    return out
+    """Y_a with its trailing p-exponents deleted."""
+    return linear(y_element(alpha).items(), lambda key: {key[0]: 1}, UEnv)
 
 
 def centralizer_check(alpha: MultiIndex) -> dict[str, Loc]:

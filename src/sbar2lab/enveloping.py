@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .base import LinComb, MultiIndex, Scalar, accumulate, as_scalar, gbinom, qdiv, terms_str
+from .base import LinComb, MultiIndex, Scalar, accumulate, as_scalar, gbinom, linear, qdiv, terms_str
 from .lie import (
     _AD_CAP,
     D2,
@@ -322,14 +322,16 @@ def loc_act(x: Loc, v, partial, word_act, scalars):
     series), then the head word. ``partial(i, v)`` and ``word_act(word, v)``
     are the module's actions, and p_i acts as ``scalars[i - 1]`` plus a
     locally nilpotent part."""
-    out = v._new({})
-    for (head, (m1, m2)), c in x.terms.items():
+
+    def image(key: LocKey):
+        head, (m1, m2) = key
         u = v
         for i, m in ((2, m2), (1, m1)):
             for _ in range(abs(m)):
                 u = partial(i, u) if m > 0 else partial_inverse(i, u, partial, scalars[i - 1])
-        out = out + word_act(head, u) * c
-    return out
+        return word_act(head, u)
+
+    return linear(x.items(), image, v._new)
 
 
 def _q1_partial(i: int, q: Q1) -> Q1:

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import re
 
-from .base import Poly2, in_phi, mtotal, qdiv
+from .base import Poly2, in_phi, linear, madd, mtotal, qdiv
 from .centralizer import y_element
 from .enveloping import Loc, UEnv
 from .gl2 import Gl2Module
+from .lie import Sbar
 from .tmodule import TVector
-from .weyl import TensorAlg, phi_L, phi_d2, phi_t
+from .weyl import TensorAlg, phi_sbar, phi_t
 
 
 class ParseError(ValueError):
@@ -260,27 +261,28 @@ def _fold(ast, atom_fn, one, scalar_fn, neg_pow=None):
     raise ValueError(f"malformed tree node {ast!r}")
 
 
+#: the algebra's named atoms; each evaluation context maps them through its
+#: own embedding (p2 is d/dt_2, which is minus the letter L(0,-1))
+_ALGEBRA_ATOMS = {
+    "d1": Sbar.d1(), "d2": Sbar.d2(), "d": Sbar.d(), "p1": Sbar.L((-1, 0)), "p2": -Sbar.L((0, -1)),
+}
+
+
+def _algebra_atom(name, args) -> Sbar | None:
+    """The algebra element an atom names, or None when it names none."""
+    return Sbar.L(args) if name == "L" else _ALGEBRA_ATOMS.get(name)
+
+
 def eval_loc(ast) -> Loc:
     """Evaluate in the localized enveloping algebra."""
 
     def atom(name, args):
-        if name == "L":
-            if mtotal(args) >= 0:
-                return Loc.from_uenv(UEnv.L(args))
-            return Loc.partial(1) if args == (-1, 0) else Loc.partial(2) * -1
         if name == "Y":
             return y_element(args)
-        if name == "d1":
-            return Loc.from_uenv(UEnv.d1())
-        if name == "d2":
-            return Loc.from_uenv(UEnv.d2())
-        if name == "d":
-            return Loc.from_uenv(UEnv.d1() + UEnv.d2())
-        if name == "p1":
-            return Loc.partial(1)
-        if name == "p2":
-            return Loc.partial(2)
-        raise ValueError(f"atom {name} has no meaning in the enveloping algebra")
+        x = _algebra_atom(name, args)
+        if x is None:
+            raise ValueError(f"atom {name} has no meaning in the enveloping algebra")
+        return Loc.from_uenv(linear(x.items(), UEnv.letter, UEnv))
 
     def neg_pow(name, exp):
         return Loc.partial(1 if name == "p1" else 2, exp)
@@ -292,25 +294,16 @@ def eval_phi(ast) -> TensorAlg:
     """Evaluate the image of the expression under the generator map."""
 
     def atom(name, args):
-        if name == "L":
-            return phi_L(args)
         if name == "t":
             return phi_t(args)
         if name == "t1":
             return phi_t((1, 0))
         if name == "t2":
             return phi_t((0, 1))
-        if name == "d1":
-            return phi_L((0, 0)) + phi_d2()
-        if name == "d2":
-            return phi_d2()
-        if name == "d":
-            return phi_L((0, 0)) + phi_d2() * 2
-        if name == "p1":
-            return phi_L((-1, 0))
-        if name == "p2":
-            return phi_L((0, -1)) * -1
-        raise ValueError(f"atom {name} has no image under the generator map")
+        x = _algebra_atom(name, args)
+        if x is None:
+            raise ValueError(f"atom {name} has no image under the generator map")
+        return phi_sbar(x)
 
     return _fold(ast, atom, TensorAlg.one(), lambda c: TensorAlg.one() * c)
 
@@ -340,12 +333,11 @@ class _SeedValue:
             raise ValueError("module vectors cannot be multiplied together")
         poly = self.poly if self.poly is not None else other.poly
         vec = self.vec if self.vec is not None else other.vec
-        out = vec._new({})
-        for exp, c in poly.terms.items():
-            out = out + vec._new(
-                {((b[0] + exp[0], b[1] + exp[1]), k): cc * c for (b, k), cc in vec.terms.items()}
-            )
-        return _SeedValue(vec=out)
+
+        def image(exp):
+            return {(madd(b, exp), k): c for (b, k), c in vec.items()}
+
+        return _SeedValue(vec=linear(poly.items(), image, vec._new))
 
 
 def eval_seed(ast, module: Gl2Module, a) -> TVector:

@@ -17,7 +17,7 @@ canonically rather than only by matrix evaluation.
 
 from __future__ import annotations
 
-from .base import LinComb, Scalar, as_scalar, terms_str
+from .base import LinComb, Scalar, as_scalar, linear, terms_str
 from .enveloping import pbw_engine
 from .lie import D2, Sbar, letter_alpha, letter_degree
 
@@ -173,25 +173,22 @@ def pi_letter(letter) -> Gl2Poly:
 
 def pi_iso(x: Sbar) -> Gl2Poly:
     """Degree-zero identification with gl_2, extended by zero in higher degree."""
-    out = Gl2Poly()
-    for letter, c in x.terms.items():
-        out = out + pi_letter(letter) * c
-    return out
+    return linear(x.items(), pi_letter, Gl2Poly)
 
 
 def pi_env(u) -> Gl2Poly:
     """Push an enveloping element through the identification word by word;
     any word containing a positive-degree letter is dropped."""
-    out = Gl2Poly()
-    for word, c in u.terms.items():
+
+    def image(word) -> Gl2Poly:
         img = Gl2Poly.one()
         for letter in word:
             deg = letter_degree(letter)
             if deg < 0:
                 raise ValueError("constant fields have no image in gl_2")
             if deg >= 1:
-                img = Gl2Poly()
-                break
+                return Gl2Poly()
             img = img * pi_letter(letter)
-        out = out + img * c
-    return out
+        return img
+
+    return linear(u.items(), image, Gl2Poly)

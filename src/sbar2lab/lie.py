@@ -30,6 +30,7 @@ from .base import (
     bilinear,
     in_phi,
     is_nonneg,
+    linear,
     madd,
     msub,
     mtotal,
@@ -56,6 +57,12 @@ def L_letter(alpha: MultiIndex) -> Letter:
 #: the two degree -1 letters, i.e. the constant fields
 P1_LETTER: Letter = L_letter((-1, 0))   # d/dt_1
 P2_LETTER: Letter = L_letter((0, -1))   # equals minus d/dt_2
+
+
+def l_indices(lo: int, hi: int) -> list[MultiIndex]:
+    """The L-indices a with max(lo, -1) <= |a| <= hi, in (|a|, a1) order; a1
+    runs from -1 to |a| + 1, so a2 >= -1 and the corner never occurs."""
+    return [(a1, g - a1) for g in range(max(lo, -1), hi + 1) for a1 in range(-1, g + 2)]
 
 
 def letter_alpha(letter: Letter) -> MultiIndex | None:
@@ -153,10 +160,7 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
 
 def apply_to_poly(x: VectorField, p: Poly2) -> Poly2:
     """Derivation action of the field on a polynomial in t1, t2."""
-    out = Poly2()
-    for (exp, i), c in x.terms.items():
-        out = out + Poly2.monomial(exp, c) * p.diff(i)
-    return out
+    return linear(x.items(), lambda key: Poly2.monomial(key[0]) * p.diff(key[1]), Poly2)
 
 
 def divergence(x: VectorField) -> Poly2:
@@ -210,14 +214,12 @@ def sbar_bracket(x: Sbar, y: Sbar) -> Sbar:
     return bilinear(x, y, letter_bracket, Sbar)
 
 
+def _letter_field(letter: Letter) -> VectorField:
+    return VectorField.euler(2) if letter == D2 else l_basis(letter_alpha(letter))
+
+
 def sbar_to_vf(x: Sbar) -> VectorField:
-    out = VectorField()
-    for letter, c in x.terms.items():
-        if letter == D2:
-            out = out + VectorField.euler(2) * c
-        else:
-            out = out + l_basis(letter_alpha(letter)) * c
-    return out
+    return linear(x.items(), _letter_field, VectorField)
 
 
 def vf_to_sbar(x: VectorField) -> Sbar:

@@ -39,6 +39,7 @@ from .lie import (
     VectorField,
     divergence,
     l_basis,
+    l_indices,
     letter_degree,
     sbar_bracket,
     sbar_to_vf,
@@ -67,26 +68,12 @@ from .weyl import phi_hom_check
 LAMBDA_GRID = ((0, 0), (1, 0), (1, 1), (2, 0))
 
 
-def _letters(max_degree: int, min_degree: int = -1):
-    out = [D2]
-    for a1 in range(-1, max_degree + 2):
-        for a2 in range(-1, max_degree + 2):
-            if (a1, a2) == (-1, -1):
-                continue
-            if min_degree <= a1 + a2 <= max_degree:
-                out.append(L_letter((a1, a2)))
-    return out
+def _letters(max_degree: int):
+    return [D2] + [L_letter(alpha) for alpha in l_indices(-1, max_degree)]
 
 
 def _y_indices(max_degree: int):
-    out = []
-    for a1 in range(-1, max_degree + 2):
-        for a2 in range(-1, max_degree + 2):
-            if (a1, a2) == (0, 0) or a1 + a2 < 0 or a1 + a2 > max_degree:
-                continue
-            if a1 >= -1 and a2 >= -1:
-                out.append((a1, a2))
-    return sorted(out, key=lambda a: (mtotal(a), a))
+    return [alpha for alpha in l_indices(0, max_degree) if alpha != (0, 0)]
 
 
 def _fmt(idx) -> str:
@@ -192,19 +179,15 @@ def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
 
 def _suite_divergence(max_degree: int, rng) -> list:
     cases = []
-    for a1 in range(-1, max_degree + 2):
-        for a2 in range(-1, max_degree + 2):
-            alpha = (a1, a2)
-            if alpha == (-1, -1) or not (-1 <= a1 + a2 <= max_degree):
-                continue
+    for alpha in l_indices(-1, max_degree):
 
-            def thunk(alpha=alpha):
-                div = divergence(l_basis(alpha))
-                if div.is_zero():
-                    return PASS, {}
-                return FAIL, {"divergence": str(div)}
+        def thunk(alpha=alpha):
+            div = divergence(l_basis(alpha))
+            if div.is_zero():
+                return PASS, {}
+            return FAIL, {"divergence": str(div)}
 
-            cases.append((f"div-L{_fmt(alpha)}", "div(L_a) = 0", "axiom-sweep", thunk))
+        cases.append((f"div-L{_fmt(alpha)}", "div(L_a) = 0", "axiom-sweep", thunk))
 
     def euler_thunk():
         div = divergence(sbar_to_vf(Sbar.d()))

@@ -16,19 +16,22 @@ too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T, so ``act_letter`` is the
 only place the action is written out. ``BasisImages`` memoizes the images of
 basis keys for one check or one search, never at module level; the action is
 linear, so they determine every letter product on every vector.
-Degree-lowering operators act exactly; the closure probe projects onto a
-degree window and reports dimensions only where the projection cannot have
-discarded contributions.
+Degree-lowering operators act exactly; the closure probe closes a span over
+its own rows inside a degree window and reports dimensions only where the
+cap cannot have discarded contributions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .base import E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, madd, msub, mtotal, terms_str
+from .base import (
+    E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, terms_str,
+)
 from .enveloping import Loc, UEnv, Word, loc_act
 from .gl2 import Gl2Module, mat_mul, mat_identity, pi_letter
-from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_basis, letter_degree
+from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_basis, l_indices, letter_degree
 from .linalg import EchelonSpan, nullspace
+from .weyl import A2aVector, Weyl, a2a_act
 
 TKey = tuple[MultiIndex, int]  # (polynomial exponent, weight basis index)
 
@@ -168,10 +171,7 @@ class BasisImages:
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:
-    out = w._new({})
-    for letter, c in x.terms.items():
-        out = out + act_letter(letter, w) * c
-    return out
+    return linear(x.items(), lambda letter: act_letter(letter, w), w._new)
 
 
 def act_word(word: Word, w: TVector) -> TVector:
@@ -181,10 +181,7 @@ def act_word(word: Word, w: TVector) -> TVector:
 
 
 def act_uenv(u: UEnv, w: TVector) -> TVector:
-    out = w._new({})
-    for word, c in u.terms.items():
-        out = out + act_word(word, w) * c
-    return out
+    return linear(u.items(), lambda word: act_word(word, w), w._new)
 
 
 def act_partial(i: int, w: TVector) -> TVector:
@@ -224,42 +221,29 @@ def act_tensoralg(el, w: TVector) -> TVector:
 
     Cross-validates the displayed letter action against the generator images.
     """
-    a = w.a
     module = w.module
-    out = w._new({})
-    for ((te, de), word), c in el.terms.items():
+    parts: dict = {}  # weight index -> polynomial part of w
+    for (beta, k), c in w.terms.items():
+        parts.setdefault(k, {})[beta] = c
+    polys = {k: A2aVector(Poly2(terms), w.a) for k, terms in parts.items()}
+
+    def image(key) -> dict:
+        weyl_key, word = key
+        out: dict = {}
         if any(letter_degree(l) >= 1 for l in word):
-            continue
+            return out
         mat = mat_identity(module.dim)
         for letter in word:
             mat = mat_mul(mat, pi_letter(letter).evaluate(module))
-        acc: dict = {}
-        for (beta, k), cw in w.terms.items():
-            polys = [(beta, cw)]
-            for i in (1, 2):
-                e = de[i - 1]
-                if not e:
-                    continue
-                nxt = []
-                for bexp, bc in polys:
-                    b = bexp[i - 1]
-                    for kk in range(min(e, b) + 1):
-                        f = comb0(e, kk) * a[i - 1] ** (e - kk)
-                        if not f:
-                            continue
-                        fall = 1
-                        for step in range(kk):
-                            fall *= b - step
-                        newexp = (bexp[0] - kk, bexp[1]) if i == 1 else (bexp[0], bexp[1] - kk)
-                        nxt.append((newexp, bc * f * fall))
-                polys = nxt
-            for bexp, bc in polys:
-                texp = madd(bexp, te)
+        op = Weyl({weyl_key: 1})
+        for k, f in polys.items():
+            for exp, c in a2a_act(op, f).poly.items():
                 for kk in range(module.dim):
                     if mat[kk][k]:
-                        accumulate(acc, (texp, kk), bc * mat[kk][k])
-        out = out + w._new(acc) * c
-    return out
+                        accumulate(out, (exp, kk), c * mat[kk][k])
+        return out
+
+    return linear(el.items(), image, w._new)
 
 
 def random_seed_vector(module: Gl2Module, a, rng) -> TVector:
@@ -383,10 +367,8 @@ def sigma_terms(op: SigmaOp) -> list[tuple[Letter, Letter, int]]:
 
 
 def sigma_act(op: SigmaOp, w: TVector) -> TVector:
-    out = w._new({})
-    for first, second, coeff in sigma_terms(op):
-        out = out + act_letter(first, act_letter(second, w)) * coeff
-    return out
+    pairs = [((first, second), coeff) for first, second, coeff in sigma_terms(op)]
+    return linear(pairs, lambda letters: act_letter(letters[0], act_letter(letters[1], w)), w._new)
 
 
 def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
@@ -407,36 +389,32 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
         raise ValueError("seed is zero")
     if seed.degree() > degree:
         raise ValueError("seed degree exceeds the truncation cap")
-    generators: list[Letter] = [D2]
-    for g in range(-1, gen_degree + 1):
-        for a1 in range(-1, g + 2):
-            idx = (a1, g - a1)
-            if idx[1] < -1 or idx == (-1, -1):
-                continue
-            generators.append(L_letter(idx))
+    generators = [D2] + [L_letter(idx) for idx in l_indices(-1, gen_degree)]
 
     def key_rank(key: TKey):
         beta, k = key
         return (-mtotal(beta), beta, k)
 
-    # The queue holds raw orbit vectors only (images of images of the seed),
-    # never echelon rows: by linearity, closing the span over generator
-    # images of a spanning set closes it over the whole span, and keeping
-    # echelon mixing out of the orbit keeps coefficients small. Every tracked
-    # vector is exactly in the submodule because a generator is only applied
-    # when the image provably stays under the cap.
+    # The span closes over itself, breadth first: each pass applies every
+    # allowed generator to each row the previous pass added. A raw orbit
+    # vector can have a higher degree than the rows it spans, so closing over
+    # the orbit alone would skip generators that the cap allows on a row.
+    # A row's pivot is its top-degree key and later reductions never raise
+    # it, so a row's degree is fixed. A row is read as stored when its pass
+    # comes; it is still a vector of the span.
     span = EchelonSpan(key_rank)
-    span.add(dict(seed.terms))
-    queue = [seed]
-    while queue:
-        vec = queue.pop()
-        vec_degree = vec.degree()
-        for letter in generators:
-            if vec_degree + letter_degree(letter) + 1 > degree:
-                continue
-            image = act_letter(letter, vec)
-            if span.add(dict(image.terms)) is not None:
-                queue.append(image)
+    frontier = [span.add(dict(seed.terms))]
+    while frontier:
+        added = []
+        for row in frontier:
+            vec = seed._new(row)
+            row_degree = vec.degree()
+            for letter in generators:
+                if row_degree + letter_degree(letter) + 1 <= degree:
+                    stored = span.add(dict(act_letter(letter, vec).terms))
+                    if stored is not None:
+                        added.append(stored)
+        frontier = added
 
     pivot_degrees = sorted(mtotal(key[0]) for key in span.pivot_keys())
     window = degree - gen_degree

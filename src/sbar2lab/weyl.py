@@ -32,6 +32,7 @@ from .base import (
     binom2,
     in_phi,
     is_nonneg,
+    linear,
     madd,
     msub,
     mtotal,
@@ -123,29 +124,18 @@ class A2aVector:
 
 
 def a2a_act(x: Weyl, f: A2aVector) -> A2aVector:
-    a1, a2 = f.a
-    out = Poly2()
-    for (te, de), c in x.terms.items():
-        # (d/dt_1 + a1)^e1 (d/dt_2 + a2)^e2 applied to the polynomial
+    """Operator action on the twisted module; this is the one place where
+    (d/dt_i + a_i)^e acts on a polynomial."""
+
+    def image(key: WeylKey) -> Poly2:
+        te, de = key
         p = f.poly
-        acc = Poly2()
-        for k0 in range(de[0] + 1):
-            b0 = math.comb(de[0], k0) * a1 ** (de[0] - k0)
-            if not b0:
-                continue
-            q = p
-            for _ in range(k0):
-                q = q.diff(1)
-            for k1 in range(de[1] + 1):
-                b = b0 * math.comb(de[1], k1) * a2 ** (de[1] - k1)
-                if not b:
-                    continue
-                r = q
-                for _ in range(k1):
-                    r = r.diff(2)
-                acc = acc + r * b
-        out = out + Poly2.monomial(te) * acc * c
-    return A2aVector(out, f.a)
+        for i in (1, 2):
+            for _ in range(de[i - 1]):
+                p = p.diff(i) + p * f.a[i - 1]
+        return Poly2.monomial(te) * p
+
+    return A2aVector(linear(x.items(), image, Poly2), f.a)
 
 
 TensorKey = tuple[WeylKey, Word]
@@ -204,7 +194,7 @@ def phi_L(alpha: MultiIndex) -> TensorAlg:
     """phi of L_alpha under the documented summation convention."""
     if not in_phi(alpha):
         raise ValueError(f"index {alpha} outside the L-index set")
-    out = TensorAlg.from_weyl(Weyl.from_vf(l_basis(alpha)))
+    terms = {(wk, ()): c for wk, c in Weyl.from_vf(l_basis(alpha)).items()}
     top = madd(alpha, (1, 1))
     for r0 in range(0, top[0] + 1):
         for r1 in range(0, top[1] + 1):
@@ -212,19 +202,16 @@ def phi_L(alpha: MultiIndex) -> TensorAlg:
             res = msub(alpha, r)
             if mtotal(res) < 0 or res == (-1, -1):
                 continue
-            c = binom2(top, r)
-            if not c:
-                continue
-            out = out + TensorAlg({(((r, (0, 0))), (L_letter(res),)): c})
-    return out
+            terms[((r, (0, 0)), (L_letter(res),))] = binom2(top, r)
+    return TensorAlg(terms)
+
+
+def _phi_letter(letter) -> TensorAlg:
+    return phi_d2() if letter == D2 else phi_L(letter_alpha(letter))
 
 
 def phi_sbar(x: Sbar) -> TensorAlg:
-    out = TensorAlg()
-    for letter, c in x.terms.items():
-        img = phi_d2() if letter == D2 else phi_L(letter_alpha(letter))
-        out = out + img * c
-    return out
+    return linear(x.items(), _phi_letter, TensorAlg)
 
 
 def phi_hom_check(x, y) -> TensorAlg:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom, qdiv
+from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom, linear, qdiv
 
 
 def p(terms):
@@ -95,3 +95,22 @@ def test_lincomb_drops_zeros():
     q = p({(1, 0): Fraction(1), (0, 1): Fraction(0)})
     assert (0, 1) not in q.terms
     assert (q - q).is_zero()
+
+
+def test_linear_sums_images_once():
+    images = {"x": {(1, 0): 1, (0, 1): 2}, "y": {(1, 0): -1, (0, 0): 2}}
+    built = []
+
+    def out(terms):
+        built.append(dict(terms))
+        return Poly2(terms)
+
+    # the (1,0) terms of x and y cancel, and the key is gone
+    got = linear([("x", 1), ("y", 1)], images.__getitem__, out)
+    assert got == p({(0, 1): 2, (0, 0): 2}) and (1, 0) not in got.terms
+    assert len(built) == 1
+    # an integral product of non-integral factors is stored as an int
+    got = linear([("x", Fraction(1, 2))], images.__getitem__, Poly2)
+    assert got.terms == {(1, 0): Fraction(1, 2), (0, 1): 1}
+    assert type(got.terms[(0, 1)]) is int
+    assert linear([], images.__getitem__, Poly2).is_zero()

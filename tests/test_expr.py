@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sbar2lab.centralizer import y_element
-from sbar2lab.enveloping import Loc
+from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import (
     ParseError,
     eval_loc,
@@ -15,7 +15,7 @@ from sbar2lab.expr import (
 )
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.tmodule import TVector
-from sbar2lab.weyl import phi_L, phi_t
+from sbar2lab.weyl import phi_L, phi_d2, phi_t
 
 
 def test_parse_atoms():
@@ -116,3 +116,30 @@ def test_eval_seed():
         eval_seed(parse_element("v0*v1"), m, (1, 1))
     with pytest.raises(ValueError):
         eval_seed(parse_element("d1*v0"), m, (1, 1))
+
+
+def test_algebra_atoms_in_both_contexts():
+    # d1 = L(0,0) + d2, d = L(0,0) + 2 d2, p1 = L(-1,0), p2 = d/dt_2 = -L(0,-1)
+    L00 = UEnv.L((0, 0))
+    loc = {
+        "d1": Loc.from_uenv(L00 + UEnv.d2()),
+        "d2": Loc.from_uenv(UEnv.d2()),
+        "d": Loc.from_uenv(L00 + UEnv.d2() * 2),
+        "p1": Loc.partial(1),
+        "p2": Loc.partial(2),
+        "L(-1,0)": Loc.partial(1),
+        "L(0,-1)": Loc.partial(2) * -1,
+    }
+    phi = {
+        "d1": phi_L((0, 0)) + phi_d2(),
+        "d2": phi_d2(),
+        "d": phi_L((0, 0)) + phi_d2() * 2,
+        "p1": phi_L((-1, 0)),
+        "p2": phi_L((0, -1)) * -1,
+        "L(-1,0)": phi_L((-1, 0)),
+        "L(0,-1)": phi_L((0, -1)),
+    }
+    for text, expect in loc.items():
+        assert eval_loc(parse_element(text)) == expect, text
+    for text, expect in phi.items():
+        assert eval_phi(parse_element(text)) == expect, text

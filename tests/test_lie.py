@@ -13,6 +13,7 @@ from sbar2lab.lie import (
     apply_to_poly,
     divergence,
     l_basis,
+    l_indices,
     letter_degree,
     sbar_bracket,
     sbar_to_vf,
@@ -155,3 +156,17 @@ def test_derivation_action():
     q = Poly2.monomial((2, 1))
     assert apply_to_poly(l_basis((0, 0)), q) == Poly2.monomial((2, 1), 1)
     assert apply_to_poly(VectorField.partial(1), Poly2.monomial((1, 0))) == Poly2.one()
+
+
+def test_l_indices_is_the_filtered_grid_in_degree_order():
+    for lo in range(-1, 7):
+        for hi in range(-1, 7):
+            brute = [
+                (a1, a2)
+                for a1 in range(-1, hi + 2)
+                for a2 in range(-1, hi + 2)
+                if (a1, a2) != (-1, -1) and max(lo, -1) <= a1 + a2 <= hi
+            ]
+            assert l_indices(lo, hi) == sorted(brute, key=lambda a: (a[0] + a[1], a[0])), (lo, hi)
+    assert l_indices(-5, -1) == [(-1, 0), (0, -1)]
+    assert l_indices(3, 2) == []

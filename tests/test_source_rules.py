@@ -178,3 +178,39 @@ def test_suites_evaluate_letter_products_through_basis_images():
     sites = [node.lineno for tree in suites for name in ("act_letter", "act_sbar") for node in _calls(tree, name)]
     assert sites == []
     assert all(_calls(tree, "BasisImages") for tree in suites)
+
+
+def _is_self_sum(node) -> bool:
+    """``n = n + ...``."""
+    return (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+        and isinstance(node.value, ast.BinOp)
+        and isinstance(node.value.op, ast.Add)
+        and isinstance(node.value.left, ast.Name)
+        and node.value.left.id == node.targets[0].id
+    )
+
+
+def _self_sums_over_items(tree) -> list:
+    return [
+        node.lineno
+        for loop in ast.walk(tree)
+        if isinstance(loop, ast.For)
+        and isinstance(loop.iter, ast.Call)
+        and isinstance(loop.iter.func, ast.Attribute)
+        and loop.iter.func.attr == "items"
+        for node in ast.walk(loop)
+        if _is_self_sum(node)
+    ]
+
+
+def test_sums_over_terms_go_through_linear():
+    # ``out = out + image * c`` over the terms of an element builds a fresh
+    # combination and copies the whole sum once per term; base.linear
+    # accumulates every term in one dict and builds the result once
+    sites = [(name, line) for name, tree in MODULES.items() for line in _self_sums_over_items(tree)]
+    assert sites == []
+    planted = "def f(x):\n    out = 0\n    for k, c in x.items():\n        out = out + c\n    return out\n"
+    assert _self_sums_over_items(ast.parse(planted)) == [4]

@@ -11,7 +11,7 @@ from sbar2lab.base import Poly2, accumulate
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2, L_letter, Sbar, sbar_bracket
-from sbar2lab.report import FAIL
+from sbar2lab.report import FAIL, PASS
 from sbar2lab.suites import _letters, run_suite
 from sbar2lab.tmodule import (
     BasisImages,
@@ -313,3 +313,27 @@ def test_closure_probe_reads_module_and_type_from_the_seed():
     for a, table in tables.items():
         seed = basis(m, a, (0, 0), 0) + basis(m, a, (0, 0), 1)
         assert closure_probe(seed, 5, 2)["table"] == table
+
+
+@pytest.mark.parametrize("cap", [11, 12])
+def test_closure_fills_the_simple_cases_at_pushed_caps(cap):
+    # the probe closes over its own rows; closing over the raw orbit alone
+    # left slice 9 at 54 of 55 for lam (1,1) at cap 11 (seed 0)
+    assert [case.status for case in run_suite("closure", cap).cases] == [PASS] * 4
+    for seed in range(1, 4):
+        cases = suites._suite_closure(cap, random.Random(seed))
+        simple = [thunk for name, _, _, thunk in cases if name.startswith("closure-simple")]
+        assert len(simple) == 2
+        for thunk in simple:
+            status, witness = thunk()
+            assert status == PASS, (cap, seed, witness)
+
+
+def test_closure_reducible_table_is_monotone_in_the_cap():
+    m = gl2_simple((1, 0))
+    seed = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (0, 0), 1)
+    tables = [closure_probe(seed, cap, 2)["table"] for cap in range(6, 13)]
+    for low, high in zip(tables, tables[1:]):
+        assert all(low[d][0] <= high[d][0] for d in low), (low, high)
+    # the submodule generated by v0 + v1 is half of every slice
+    assert tables[-1] == {d: ((d + 1) * (d + 2) // 2, (d + 1) * (d + 2)) for d in range(11)}
