@@ -182,9 +182,10 @@ def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
     versus the operator image on the module itself."""
     module = gl2_simple(lam)
     basis = whittaker_basis(module)
+    y = y_element(alpha)
     cols = []
     for w in basis:
-        image = act_loc(y_element(alpha), w)
+        image = act_loc(y, w)
         col = [0] * module.dim
         for (beta, k), c in image.terms.items():
             if beta != (0, 0):
@@ -212,20 +213,25 @@ def _ordered_monomials(indices: list[MultiIndex], max_len: int):
     return words
 
 
-def _monomial_value(word: tuple[MultiIndex, ...]) -> Loc:
-    out = Loc.one()
-    for idx in word:
-        out = out * y_element(idx)
-    return out
+def _word_value(values: dict, word: tuple[MultiIndex, ...]) -> Loc:
+    """Y(w1) ... Y(wn) folded left: for n > 1, the value of its prefix times
+    the value of its last index, both already in ``values``."""
+    if len(word) > 1:
+        return values[word[:-1]] * values[word[-1:]]
+    return y_element(word[0]) if word else Loc.one()
 
 
 def y_basis_probe(indices: list[MultiIndex], max_len: int) -> dict:
     """Exact rank of the ordered monomials in the given Y's inside the
     localization; full rank witnesses their independence."""
     words = _ordered_monomials(list(indices), max_len)
+    values: dict = {}
     span = EchelonSpan()
     for word in words:
-        span.add(dict(_monomial_value(word).terms))
+        value = _word_value(values, word)
+        if len(word) < max_len:  # a longest word is no other word's prefix
+            values[word] = value
+        span.add(dict(value.terms))
     return {"count": len(words), "rank": span.rank, "full": span.rank == len(words)}
 
 
@@ -241,13 +247,14 @@ def y_generation_search(alpha: MultiIndex, max_len: int):
     """
     target = y_element(alpha)
     words: list[tuple[MultiIndex, ...]] = [()]
-    values = [_monomial_value(())]
+    values = {(): Loc.one()}
     for length in range(1, max_len + 1):
         new_words = list(itertools.product(H_GENERATORS, repeat=length))
         words.extend(new_words)
-        values.extend(_monomial_value(w) for w in new_words)
-        keys = sorted({k for v in values for k in v.terms} | set(target.terms))
-        columns = [[v.terms.get(k, 0) for k in keys] for v in values]
+        for w in new_words:
+            values[w] = _word_value(values, w)
+        keys = sorted({k for v in values.values() for k in v.terms} | set(target.terms))
+        columns = [[values[w].terms.get(k, 0) for k in keys] for w in words]
         rhs = [target.terms.get(k, 0) for k in keys]
         sol = solve(columns, rhs)
         if sol is not None:

@@ -12,6 +12,11 @@ The rewriting engine replaces an out-of-order adjacent pair xy by yx + [x,y];
 every step either sorts a word or strictly shortens it, so it terminates, and
 the memoized normal form is confluent (the diamond test in the suite compares
 randomized rewrite schedules against it).
+
+The localized product (h1 p^m)(h2 p^n) first rewrites p^m h2 as a sum of
+head * p^k (``_partials_past_word``, whose ad steps sum the normal forms of
+P w and w P word by word), then reads each term's h1 * head straight off
+``_nf`` with exponent k + n; it builds no intermediate element.
 """
 
 from __future__ import annotations
@@ -199,13 +204,10 @@ class Loc(LinComb):
 
     def _key_mul(self, k1: LocKey, k2: LocKey):
         (h1, m1), (h2, m2) = k1, k2
-        passed = _partials_past_word(m1, h2)
         out = []
-        left = UEnv({h1: 1})
-        for (head, mid), c in passed.items():
-            prod = left * UEnv({head: 1})
+        for (head, mid), c in _partials_past_word(m1, h2).items():
             exp = (mid[0] + m2[0], mid[1] + m2[1])
-            for word, cc in prod.terms.items():
+            for word, cc in _nf(h1 + head).items():
                 out.append(((word, exp), c * cc))
         return out
 
@@ -225,9 +227,14 @@ class Loc(LinComb):
 
 
 def _ad_partial(i: int, x: UEnv) -> UEnv:
-    """[d/dt_i, x] in the enveloping algebra."""
-    p = UEnv.partial(i)
-    return p * x - x * p
+    """[d/dt_i, x] in the enveloping algebra, summed word by word as
+    s (P w - w P) with d/dt_i = s P (s = -1 for the second letter)."""
+    letter, s = (P1_LETTER, 1) if i == 1 else (P2_LETTER, -1)
+    acc: dict = {}
+    for w, c in x.terms.items():
+        _merge(acc, _nf((letter,) + w), s * c)
+        _merge(acc, _nf(w + (letter,)), -s * c)
+    return UEnv(acc)
 
 
 @cache

@@ -17,6 +17,7 @@ from . import __version__
 from .base import Poly2, accumulate, mtotal
 from .centralizer import (
     H_GENERATORS,
+    _beta_range,
     centralizer_check,
     g0_poly,
     g_poly,
@@ -565,21 +566,12 @@ def _suite_g_recurrence(max_degree: int, rng) -> list:
 
         def thunk(alpha=alpha):
             n = mtotal(alpha)
-            for b1 in range(-1, alpha[0] + 3):
-                for b2 in range(-1, alpha[1] + 3):
-                    beta = (b1, b2)
-                    if beta == (0, 0) or not 0 <= mtotal(beta) < n:
-                        continue
-                    g = g_poly(alpha, beta)
-                    up = (b1 + 1, b2)
-                    g_up = (
-                        g_poly(alpha, up)
-                        if up != (0, 0) and 0 <= mtotal(up) <= n
-                        else Poly2()
-                    )
-                    res = g.shift((1, 0)) - g + g_up * (b1 + 2)
-                    if not res.is_zero():
-                        return FAIL, {"beta": list(beta), "residue": str(res)}
+            for beta in _beta_range(alpha):
+                # |b| < |a|, so b + e1 is again in range (and never 0)
+                g, g_up = g_poly(alpha, beta), g_poly(alpha, (beta[0] + 1, beta[1]))
+                res = g.shift((1, 0)) - g + g_up * (beta[0] + 2)
+                if not res.is_zero():
+                    return FAIL, {"beta": list(beta), "residue": str(res)}
             g0 = g0_poly(alpha)
             g10 = g_poly(alpha, (1, 0)) if n >= 1 else Poly2()
             g1m1 = g_poly(alpha, (1, -1)) if n >= 0 else Poly2()

@@ -1,3 +1,5 @@
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -127,10 +129,8 @@ def test_y_generation_search():
     found = y_generation_search((1, 1), 3)
     assert found is not None
     total = Loc()
-    from sbar2lab.centralizer import _monomial_value
-
     for word, c in found.items():
-        total = total + _monomial_value(word) * c
+        total = total + functools.reduce(operator.mul, map(y_element, word), Loc.one()) * c
     assert total == y_element((1, 1))
     # bounded failure is reported as inconclusive, not an error
     assert y_generation_search((2, -1), 0) is None

@@ -2,11 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbar2lab.enveloping import (
     Loc,
     Q1,
     UEnv,
+    _ad_partial,
+    _nf,
+    _partials_past_word,
     pbw_normalize,
     pbw_normalize_schedule,
     q1_act,
@@ -151,3 +156,60 @@ def test_filtration_compatibility():
     for _ in range(25):
         u, w = rand_uenv(rng), rand_uenv(rng)
         assert reduce_mod_I1(u * w) == q1_act(u, reduce_mod_I1(w))
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
+HEAD_LETTERS = [letter for letter in LETTERS if letter not in (P1_LETTER, P2_LETTER)]
+
+
+def letter_seqs(letters, max_len):
+    return st.lists(st.sampled_from(letters), max_size=max_len).map(tuple)
+
+
+@st.composite
+def uenvs(draw, max_len=3):
+    """A sum of one or two normalized letter sequences, constant fields included."""
+    terms = draw(st.lists(st.tuples(letter_seqs(LETTERS, max_len), st.integers(-3, 3)), min_size=1, max_size=2))
+    return sum((pbw_normalize(seq, c) for seq, c in terms), UEnv())
+
+
+@st.composite
+def locs(draw):
+    exp = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    return Loc.from_uenv(draw(uenvs(max_len=2))) * Loc({((), exp): 1})
+
+
+@st.composite
+def head_words(draw):
+    """A PBW-normal word without constant-field letters, i.e. a Loc head."""
+    return draw(st.sampled_from(sorted(_nf(draw(letter_seqs(HEAD_LETTERS, 3))))))
+
+
+@settings(max_examples=25, deadline=None)
+@given(locs(), locs(), locs())
+def test_loc_product_associates(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2]), uenvs())
+def test_ad_partial_is_the_commutator(i, x):
+    # the route through four products and a negation is the oracle
+    p = UEnv.partial(i)
+    assert _ad_partial(i, x) == p * x - x * p
+
+
+@PROPERTY
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3)), head_words())
+def test_partials_past_word_is_the_prefixed_normal_form(m, word):
+    prefixed = (P1_LETTER,) * m[0] + (P2_LETTER,) * m[1] + word
+    # p2 is minus the second degree -1 letter
+    expect = Loc.from_uenv(UEnv(_nf(prefixed))) * (-1) ** m[1]
+    assert Loc(_partials_past_word(m, word)) == expect
+
+
+@PROPERTY
+@given(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda m: min(m) < 0), head_words())
+def test_partials_past_word_round_trip(m, word):
+    moved = Loc(_partials_past_word(m, word))
+    assert Loc.partial(1, -m[0]) * Loc.partial(2, -m[1]) * moved == Loc({(word, (0, 0)): 1})

@@ -1,16 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbar2lab.base import Poly2
-from sbar2lab.enveloping import UEnv
-from sbar2lab.lie import D2, L_letter, Sbar, VectorField, l_basis
+from sbar2lab.enveloping import UEnv, _nf
+from sbar2lab.lie import D2, L_letter, Sbar, VectorField, l_basis, l_indices
 from sbar2lab.weyl import (
     A2aVector,
     TensorAlg,
     Weyl,
+    _weyl_key_mul,
     a2a_act,
     phi_L,
     phi_d2,
@@ -110,3 +114,46 @@ def test_phi_hom_sweep_window():
     gens += [Sbar({l: Fraction(1)}) for l in letters]
     for x, y in itertools.product(gens, repeat=2):
         assert phi_hom_check(x, y).is_zero()
+
+
+def _reorder_by_loop(k1, k2):
+    """d^b t^c by the full sum over k <= min(b, c), the oracle for the
+    one-term path (exponents as in ``_weyl_key_mul``)."""
+    (a, b), (c, d) = k1, k2
+    out = {}
+    for k in itertools.product(range(min(b[0], c[0]) + 1), range(min(b[1], c[1]) + 1)):
+        f = 1
+        for i in (0, 1):
+            f *= math.comb(b[i], k[i]) * math.comb(c[i], k[i]) * math.factorial(k[i])
+        out[((a[0] + c[0] - k[0], a[1] + c[1] - k[1]), (b[0] - k[0] + d[0], b[1] - k[1] + d[1]))] = f
+    return out
+
+
+def test_weyl_key_mul_matches_the_full_reordering_sum():
+    exps = list(itertools.product(range(3), repeat=2))
+    one_term = 0
+    for a, b, c, d in itertools.product(exps, repeat=4):
+        got = _weyl_key_mul((a, b), (c, d))
+        assert dict(got) == _reorder_by_loop((a, b), (c, d))
+        one_term += len(got) == 1
+    assert one_term > 0
+
+
+NONNEG_LETTERS = [D2] + [L_letter(alpha) for alpha in l_indices(0, 2)]
+
+
+@st.composite
+def tensor_elements(draw):
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        seq = tuple(draw(st.lists(st.sampled_from(NONNEG_LETTERS), max_size=2)))
+        word = draw(st.sampled_from(sorted(_nf(seq))))
+        terms[((draw(exps), draw(exps)), word)] = draw(st.integers(-3, 3))
+    return TensorAlg(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_elements(), tensor_elements(), tensor_elements())
+def test_tensor_product_associates(x, y, z):
+    assert (x * y) * z == x * (y * z)
