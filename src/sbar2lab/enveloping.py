@@ -227,14 +227,14 @@ class Loc(LinComb):
 
 
 def _ad_partial(i: int, x: UEnv) -> UEnv:
-    """[d/dt_i, x] in the enveloping algebra, summed word by word as
-    s (P w - w P) with d/dt_i = s P (s = -1 for the second letter)."""
-    letter, s = (P1_LETTER, 1) if i == 1 else (P2_LETTER, -1)
-    acc: dict = {}
-    for w, c in x.terms.items():
-        _merge(acc, _nf((letter,) + w), s * c)
-        _merge(acc, _nf(w + (letter,)), -s * c)
-    return UEnv(acc)
+    """[d/dt_i, x] in the enveloping algebra: p w - w p summed word by word
+    over the normal forms, with p = ``UEnv.partial(i)``."""
+    p, terms = UEnv.partial(i).terms.items(), x.terms.items()
+    return linear(
+        [(q + w, s * c) for q, s in p for w, c in terms] + [(w + q, -s * c) for q, s in p for w, c in terms],
+        _nf,
+        UEnv,
+    )
 
 
 @cache

@@ -56,9 +56,6 @@ WeylKey = tuple[MultiIndex, MultiIndex]  # (t exponents, d/dt exponents)
 
 def _weyl_key_mul(k1: WeylKey, k2: WeylKey):
     (a, b), (c, d) = k1, k2
-    if not (min(b[0], c[0]) or min(b[1], c[1])):
-        # no d/dt meets a t: the one term with factor 1
-        return (((madd(a, c), madd(b, d)), 1),)
     out = []
     for k0 in range(min(b[0], c[0]) + 1):
         f0 = math.comb(b[0], k0) * math.comb(c[0], k0) * math.factorial(k0)

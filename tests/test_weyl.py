@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from sbar2lab.weyl import (
     A2aVector,
     TensorAlg,
     Weyl,
-    _weyl_key_mul,
     a2a_act,
     phi_L,
     phi_d2,
@@ -114,29 +112,6 @@ def test_phi_hom_sweep_window():
     gens += [Sbar({l: Fraction(1)}) for l in letters]
     for x, y in itertools.product(gens, repeat=2):
         assert phi_hom_check(x, y).is_zero()
-
-
-def _reorder_by_loop(k1, k2):
-    """d^b t^c by the full sum over k <= min(b, c), the oracle for the
-    one-term path (exponents as in ``_weyl_key_mul``)."""
-    (a, b), (c, d) = k1, k2
-    out = {}
-    for k in itertools.product(range(min(b[0], c[0]) + 1), range(min(b[1], c[1]) + 1)):
-        f = 1
-        for i in (0, 1):
-            f *= math.comb(b[i], k[i]) * math.comb(c[i], k[i]) * math.factorial(k[i])
-        out[((a[0] + c[0] - k[0], a[1] + c[1] - k[1]), (b[0] - k[0] + d[0], b[1] - k[1] + d[1]))] = f
-    return out
-
-
-def test_weyl_key_mul_matches_the_full_reordering_sum():
-    exps = list(itertools.product(range(3), repeat=2))
-    one_term = 0
-    for a, b, c, d in itertools.product(exps, repeat=4):
-        got = _weyl_key_mul((a, b), (c, d))
-        assert dict(got) == _reorder_by_loop((a, b), (c, d))
-        one_term += len(got) == 1
-    assert one_term > 0
 
 
 NONNEG_LETTERS = [D2] + [L_letter(alpha) for alpha in l_indices(0, 2)]
