@@ -6,11 +6,17 @@ when it is not; no floats are accepted anywhere, and every quotient goes
 through ``qdiv``, so every equality test downstream is exact. Multi-indices
 are plain ``(int, int)`` tuples and each consuming operation enforces its
 own range at its boundary.
+
+``run_memo`` memoizes a function on its positional arguments while a
+``run_scope`` is open (``suites.run_suite`` opens one around its cases);
+outside a scope every call computes afresh, so no result outlives a run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 
 Scalar = int | Fraction
@@ -38,6 +44,35 @@ def qdiv(a, b) -> Scalar:
     Fraction otherwise. This is the package's only division; like
     ``as_scalar`` it rejects floats."""
     return as_scalar(Fraction(a, b))
+
+
+_scope_memo: dict | None = None  # (function, args) -> result, in the open run scope
+
+
+@contextmanager
+def run_scope():
+    """A scope in which ``run_memo`` results are kept; the memo is dropped on
+    exit, also when the body raises."""
+    global _scope_memo
+    outer, _scope_memo = _scope_memo, {}
+    try:
+        yield
+    finally:
+        _scope_memo = outer
+
+
+def run_memo(fn):
+    """Memoize ``fn`` on its positional arguments while a ``run_scope`` is open."""
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        if _scope_memo is None:
+            return fn(*args)
+        if (fn, args) not in _scope_memo:
+            _scope_memo[fn, args] = fn(*args)
+        return _scope_memo[fn, args]
+
+    return wrapper
 
 
 def accumulate(acc: dict, key, c) -> None:
@@ -178,7 +213,10 @@ class LinComb:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + (-other)
+        merged = dict(self.terms)
+        for key, c in other.terms.items():
+            accumulate(merged, key, -c)
+        return self._new(merged)
 
     def __neg__(self):
         return self._new({k: -c for k, c in self.terms.items()})

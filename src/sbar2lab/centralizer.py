@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import MultiIndex, Poly2, accumulate, binom2, linear, mtotal
+from .base import MultiIndex, Poly2, accumulate, binom2, linear, mtotal, run_memo
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
 from .gl2 import Gl2Module, Gl2Poly, Matrix, gl2_simple, pi_env
 from .lie import l_indices
@@ -109,6 +109,7 @@ def y_terms(alpha: MultiIndex) -> list[tuple[UEnv, MultiIndex]]:
     return terms
 
 
+@run_memo
 def y_element(alpha: MultiIndex) -> Loc:
     out: dict = {}
     for env, beta in y_terms(alpha):

@@ -10,13 +10,15 @@ exponent pair.
 
 The rewriting engine replaces an out-of-order adjacent pair xy by yx + [x,y];
 every step either sorts a word or strictly shortens it, so it terminates, and
-the memoized normal form is confluent (the diamond test in the suite compares
-randomized rewrite schedules against it).
+the memoized normal form is confluent (the diamond test compares randomized
+rewrite schedules against it).
 
 The localized product (h1 p^m)(h2 p^n) first rewrites p^m h2 as a sum of
 head * p^k (``_partials_past_word``, whose ad steps sum the normal forms of
 P w and w P word by word), then reads each term's h1 * head straight off
-``_nf`` with exponent k + n; it builds no intermediate element.
+``_nf`` with exponent k + n; it builds no intermediate element. Each
+(ad p_i)^k chain stops at the binomial support of C(m_i, k): at k = m_i for
+m_i >= 0, and where the chain vanishes for m_i < 0.
 """
 
 from __future__ import annotations
@@ -133,27 +135,6 @@ def pbw_normalize(seq, c=1) -> UEnv:
     return UEnv({w: v for w, v in _nf(tuple(seq)).items()}) * as_scalar(c)
 
 
-def pbw_normalize_schedule(seq, rng, c=1) -> UEnv:
-    """Like pbw_normalize but resolving pairs in an rng-chosen order.
-
-    Independent of the memoized engine; used to exercise confluence.
-    """
-    pending: list[tuple[Word, Scalar]] = [(tuple(seq), as_scalar(c))]
-    done: dict = {}
-    while pending:
-        word, coeff = pending.pop(rng.randrange(len(pending)))
-        bad = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
-        if not bad:
-            accumulate(done, word, coeff)
-            continue
-        i = bad[rng.randrange(len(bad))]
-        x, y = word[i], word[i + 1]
-        pending.append((word[:i] + (y, x) + word[i + 2:], coeff))
-        for letter, k in letter_bracket(x, y):
-            pending.append((word[:i] + (letter,) + word[i + 2:], coeff * k))
-    return UEnv(done)
-
-
 def split_tail_partials(word: Word) -> tuple[Word, int, int, int]:
     """Split a normal word into (head, m1, m2, sign).
 
@@ -237,35 +218,35 @@ def _ad_partial(i: int, x: UEnv) -> UEnv:
     )
 
 
+def _ad_chain(i: int, u: UEnv, m: int) -> list[UEnv]:
+    """(ad p_i)^k u for k = 0, 1, ... while C(m, k) can be nonzero: up to
+    k = m for m >= 0, until the chain vanishes for m < 0 (guarded)."""
+    chain = [u]
+    while m < 0 or len(chain) <= m:
+        u = _ad_partial(i, u)
+        if u.is_zero():
+            break
+        chain.append(u)
+        if len(chain) > _AD_CAP:
+            raise NilpotencyGuardError(f"ad p{i} chain failed to terminate")
+    return chain
+
+
 @cache
 def _partials_past_word(m: MultiIndex, word: Word) -> dict:
     """Rewrite p^m * word as sum of head * p^k, i.e. commute the constant
     fields across a head word.
 
     Uses p_i^m u = sum_k C(m, k) (ad p_i)^k(u) p_i^(m-k), valid for negative
-    m with generalized binomials; the series is finite because each ad
-    application lowers total degree (guarded).
+    m with generalized binomials. Each chain stops at the binomial support:
+    at k = m_i for m_i >= 0, and for m_i < 0 once (ad p_i)^k(u) vanishes,
+    which it does because each ad application lowers total degree (guarded).
     """
     out: dict = {}
-    u = UEnv({word: 1})
-    ads1 = [u]
-    while not ads1[-1].is_zero():
-        ads1.append(_ad_partial(1, ads1[-1]))
-        if len(ads1) > _AD_CAP:
-            raise NilpotencyGuardError("ad p1 chain failed to terminate")
-    for k1, u1 in enumerate(ads1[:-1]):
+    for k1, u1 in enumerate(_ad_chain(1, UEnv({word: 1}), m[0])):
         b1 = gbinom(m[0], k1)
-        if not b1:
-            continue
-        ads2 = [u1]
-        while not ads2[-1].is_zero():
-            ads2.append(_ad_partial(2, ads2[-1]))
-            if len(ads2) > _AD_CAP:
-                raise NilpotencyGuardError("ad p2 chain failed to terminate")
-        for k2, u2 in enumerate(ads2[:-1]):
+        for k2, u2 in enumerate(_ad_chain(2, u1, m[1])):
             b2 = gbinom(m[1], k2)
-            if not b2:
-                continue
             for w, c in u2.terms.items():
                 head, a1, a2, sign = split_tail_partials(w)
                 accumulate(out, (head, (m[0] - k1 + a1, m[1] - k2 + a2)), sign * b1 * b2 * c)

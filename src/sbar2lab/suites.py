@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .base import Poly2, accumulate, mtotal
+from .base import Poly2, accumulate, mtotal, run_scope
 from .centralizer import (
     H_GENERATORS,
     _beta_range,
@@ -799,8 +799,9 @@ def run_suite(name: str, max_degree: int | None = None, seed: int = 0) -> SuiteR
     rng = random.Random(seed)
     started = time.perf_counter()
     cases = []
-    for case_name, anchor, provenance, thunk in builder(degree, rng):
-        status, witness = thunk()
-        cases.append(Case(case_name, anchor, provenance, status, witness))
+    with run_scope():  # each Y_a and phi(letter) is built once per run
+        for case_name, anchor, provenance, thunk in builder(degree, rng):
+            status, witness = thunk()
+            cases.append(Case(case_name, anchor, provenance, status, witness))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return SuiteReport(name, seed, __version__, sorted(cases, key=lambda c: c.name), elapsed_ms)

@@ -36,6 +36,7 @@ from .base import (
     madd,
     msub,
     mtotal,
+    run_memo,
     terms_str,
 )
 from .enveloping import UEnv, Word, _nf, word_str
@@ -206,6 +207,7 @@ def phi_L(alpha: MultiIndex) -> TensorAlg:
     return TensorAlg(terms)
 
 
+@run_memo
 def _phi_letter(letter) -> TensorAlg:
     return phi_d2() if letter == D2 else phi_L(letter_alpha(letter))
 

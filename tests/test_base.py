@@ -97,6 +97,15 @@ def test_lincomb_drops_zeros():
     assert (q - q).is_zero()
 
 
+def test_subtraction_is_adding_the_negative():
+    x = p({(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): -1})
+    y = p({(1, 0): 2, (0, 1): Fraction(-1, 2), (2, 0): 3})
+    got = x - y
+    assert got == x + (-y) and got.terms == {(0, 1): 1, (0, 0): -1, (2, 0): -3}
+    assert type(got.terms[(0, 1)]) is int
+    assert x.terms == {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): -1}  # operands untouched
+
+
 def test_linear_sums_images_once():
     images = {"x": {(1, 0): 1, (0, 1): 2}, "y": {(1, 0): -1, (0, 0): 2}}
     built = []

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbar2lab import base, centralizer, suites
 from sbar2lab.base import Poly2
 from sbar2lab.centralizer import (
     H_GENERATORS,
@@ -22,6 +23,7 @@ from sbar2lab.centralizer import (
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import eval_loc, parse_element
 from sbar2lab.gl2 import Gl2Poly
+from sbar2lab.suites import run_suite
 
 Y_DISPLAYS = {
     (1, -1): "L(1,-1)*p1*p2^-1 + 2*d1",
@@ -134,3 +136,36 @@ def test_y_generation_search():
     assert total == y_element((1, 1))
     # bounded failure is reported as inconclusive, not an error
     assert y_generation_search((2, -1), 0) is None
+
+
+def _count_y_builds(monkeypatch) -> list:
+    builds = []
+    build = centralizer.y_terms
+    monkeypatch.setattr(centralizer, "y_terms", lambda alpha: builds.append(alpha) or build(alpha))
+    return builds
+
+
+@pytest.mark.parametrize("args,count", [(("pi1-compare",), 4), (("xi-whittaker", 3), 17), (("y-centralizer", 3), 17)])
+def test_each_y_is_built_once_per_run(monkeypatch, args, count):
+    builds = _count_y_builds(monkeypatch)
+    assert run_suite(*args).failures == 0
+    assert len(builds) == len(set(builds)) == count
+
+
+def test_no_memo_outlives_a_run(monkeypatch):
+    builds = _count_y_builds(monkeypatch)
+    run_suite("pi1-compare")
+    assert base._scope_memo is None
+    builds.clear()
+    y_element((1, 0))
+    y_element((1, 0))
+    assert builds == [(1, 0), (1, 0)]
+
+    def raising(_degree, _rng):
+        y_element((1, 0))
+        yield "boom", "", "", lambda: 1 / 0
+
+    monkeypatch.setitem(suites.SUITES, "pi1-compare", (raising, 2))
+    with pytest.raises(ZeroDivisionError):
+        run_suite("pi1-compare")
+    assert base._scope_memo is None

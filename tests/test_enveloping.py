@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbar2lab.base import accumulate
 from sbar2lab.enveloping import (
     Loc,
     Q1,
@@ -13,12 +14,11 @@ from sbar2lab.enveloping import (
     _nf,
     _partials_past_word,
     pbw_normalize,
-    pbw_normalize_schedule,
     q1_act,
     reduce_mod_I1,
     split_tail_partials,
 )
-from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER
+from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER, letter_bracket
 from sbar2lab.linalg import EchelonSpan
 
 LETTERS = [D2] + [
@@ -52,6 +52,27 @@ def test_pbw_examples():
         }
     )
     assert got == expect
+
+
+def pbw_normalize_schedule(seq, rng) -> UEnv:
+    """Like pbw_normalize but resolving pairs in an rng-chosen order.
+
+    Independent of the memoized engine, so it is an oracle for confluence.
+    """
+    pending = [(tuple(seq), 1)]
+    done: dict = {}
+    while pending:
+        word, coeff = pending.pop(rng.randrange(len(pending)))
+        bad = [i for i in range(len(word) - 1) if word[i] > word[i + 1]]
+        if not bad:
+            accumulate(done, word, coeff)
+            continue
+        i = bad[rng.randrange(len(bad))]
+        x, y = word[i], word[i + 1]
+        pending.append((word[:i] + (y, x) + word[i + 2:], coeff))
+        for letter, k in letter_bracket(x, y):
+            pending.append((word[:i] + (letter,) + word[i + 2:], coeff * k))
+    return UEnv(done)
 
 
 def test_diamond_property():
@@ -183,6 +204,12 @@ def locs(draw):
 def head_words(draw):
     """A PBW-normal word without constant-field letters, i.e. a Loc head."""
     return draw(st.sampled_from(sorted(_nf(draw(letter_seqs(HEAD_LETTERS, 3))))))
+
+
+@PROPERTY
+@given(uenvs(max_len=2), uenvs(max_len=2), uenvs(max_len=2))
+def test_uenv_product_associates(x, y, z):
+    assert (x * y) * z == x * (y * z)
 
 
 @settings(max_examples=25, deadline=None)

@@ -214,3 +214,49 @@ def test_sums_over_terms_go_through_linear():
     assert sites == []
     planted = "def f(x):\n    out = 0\n    for k, c in x.items():\n        out = out + c\n    return out\n"
     assert _self_sums_over_items(ast.parse(planted)) == [4]
+
+
+MEMO_DECORATORS = {"cache", "lru_cache"}
+
+
+def _memo_references(tree) -> list:
+    """Line numbers of every use of functools.cache or lru_cache, bare or
+    as an attribute, outside import statements."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in MEMO_DECORATORS)
+        or (isinstance(node, ast.Attribute) and node.attr in MEMO_DECORATORS)
+    )
+
+
+def _memoized_functions(tree) -> list:
+    """(function name, decorator line) for each function decorated by a memo."""
+    return [
+        (node.name, deco.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        for deco in node.decorator_list
+        if _memo_references(deco)
+    ]
+
+
+def test_only_the_normal_form_engines_are_memoized_for_the_process():
+    # everything else that is reused is memoized for one run only
+    # (base.run_memo); a process-wide cache grows without bound
+    found = {(name, fn) for name, tree in MODULES.items() for fn, _ in _memoized_functions(tree)}
+    assert found == {("enveloping.py", "nf"), ("enveloping.py", "_partials_past_word")}
+    for name, tree in MODULES.items():
+        decorators = sorted(line for _, line in _memoized_functions(tree))
+        assert _memo_references(tree) == decorators, name
+        aliased = [
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in MEMO_DECORATORS and alias.asname
+        ]
+        assert aliased == [], name
+    planted = "import functools\n\n@functools.lru_cache(None)\ndef f(x):\n    return x\n\ng = functools.cache(f)\n"
+    tree = ast.parse(planted)
+    assert _memoized_functions(tree) == [("f", 3)] and _memo_references(tree) == [3, 7]

@@ -114,6 +114,21 @@ def test_phi_hom_sweep_window():
         assert phi_hom_check(x, y).is_zero()
 
 
+@st.composite
+def weyl_elements(draw):
+    """One to three normally ordered terms with exponents up to 2 and
+    coefficients in -3/2 .. 3."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeffs = st.fractions(-3, 3, max_denominator=2).filter(bool)
+    return Weyl(draw(st.dictionaries(st.tuples(exps, exps), coeffs, min_size=1, max_size=3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(weyl_elements(), weyl_elements(), weyl_elements())
+def test_weyl_product_associates(x, y, z):
+    assert (x * y) * z == x * (y * z)
+
+
 NONNEG_LETTERS = [D2] + [L_letter(alpha) for alpha in l_indices(0, 2)]
 
 
