@@ -116,8 +116,8 @@ def test_phi_hom_sweep_window():
 
 @st.composite
 def weyl_elements(draw):
-    """One to three normally ordered terms with exponents up to 2 and
-    coefficients in -3/2 .. 3."""
+    """One to three normally ordered terms with exponents up to 2 and nonzero
+    coefficients in [-3, 3] with denominators up to 2."""
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
     coeffs = st.fractions(-3, 3, max_denominator=2).filter(bool)
     return Weyl(draw(st.dictionaries(st.tuples(exps, exps), coeffs, min_size=1, max_size=3)))
