@@ -15,7 +15,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .base import as_scalar
+from .base import as_scalar, run_scope
 from .centralizer import pi1, xi_y, y_element
 from .expr import eval_loc, eval_phi, eval_seed, parse_element
 from .gl2 import gl2_simple
@@ -93,6 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    with run_scope():  # each Y_a and phi(letter) is built once per command
+        return _run(args)
+
+
+def _run(args) -> int:
     try:
         if args.command == "verify":
             report = run_suite(args.suite, args.max_degree, args.seed)

@@ -9,7 +9,6 @@ byte-reproducible for a given seed and engine version.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -18,22 +17,26 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class Case:
-    name: str
-    anchor: str  # the identity or claim being exercised, in formula form
-    provenance: str  # how the expected value arises: axiom-sweep, display-regression, ...
-    status: str
-    witness: dict = field(default_factory=dict)
+    __slots__ = ("name", "anchor", "provenance", "status", "witness")
+
+    def __init__(self, name: str, anchor: str, provenance: str, status: str, witness: dict | None = None):
+        self.name = name
+        self.anchor = anchor  # the identity or claim being exercised, in formula form
+        self.provenance = provenance  # how the expected value arises: axiom-sweep, display-regression, ...
+        self.status = status
+        self.witness = {} if witness is None else witness
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    engine_version: str
-    cases: list[Case]
-    wall_time_ms: int = 0
+    __slots__ = ("suite", "seed", "engine_version", "cases", "wall_time_ms")
+
+    def __init__(self, suite: str, seed: int, engine_version: str, cases: list[Case], wall_time_ms: int = 0):
+        self.suite = suite
+        self.seed = seed
+        self.engine_version = engine_version
+        self.cases = cases
+        self.wall_time_ms = wall_time_ms
 
     def summary(self) -> dict:
         out = {PASS: 0, FAIL: 0, INCONCLUSIVE: 0}

@@ -23,7 +23,6 @@ cap cannot have discarded contributions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .base import (
     E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, terms_str,
 )
@@ -331,23 +330,23 @@ def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
     }
 
 
-@dataclass(frozen=True)
 class SigmaOp:
     """Alternating two-letter operator; the corner index acts as zero."""
 
-    m: int
-    j: int
-    alpha: MultiIndex
-    beta: MultiIndex
+    __slots__ = ("m", "j", "alpha", "beta")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m: int, j: int, alpha: MultiIndex, beta: MultiIndex):
+        if m < 0:
             raise ValueError("order must be nonnegative")
-        if self.j not in (1, 2):
+        if j not in (1, 2):
             raise ValueError("direction must be 1 or 2")
-        for idx in (self.alpha, self.beta):
+        for idx in (alpha, beta):
             if idx[0] < -1 or idx[1] < -1:
                 raise ValueError(f"index {idx} below the allowed range")
+        self.m = m
+        self.j = j
+        self.alpha = alpha
+        self.beta = beta
 
 
 def sigma_terms(op: SigmaOp) -> list[tuple[Letter, Letter, int]]:

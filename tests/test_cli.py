@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sbar2lab import centralizer
 from sbar2lab.cli import main
 from sbar2lab.report import SuiteReport, Case, emit_report
 from sbar2lab.suites import run_suite
@@ -26,6 +27,20 @@ def test_ygen(capsys):
     assert main(["ygen", "--alpha", "1,0", "--pi1", "--lambda", "1,0"]) == 0
     out = capsys.readouterr().out
     assert "[-2, 2]" in out and "[0, 0]" in out
+
+
+def test_ygen_builds_each_y_once(monkeypatch, capsys):
+    builds = []
+    build = centralizer.y_terms
+    monkeypatch.setattr(centralizer, "y_terms", lambda alpha: builds.append(alpha) or build(alpha))
+    assert main(["ygen", "--alpha", "1,0", "--xi", "--pi1", "--lambda", "1,0"]) == 0
+    assert builds == [(1, 0)]
+    assert capsys.readouterr().out == (
+        "-d2 - d2^2 - 2*d2*L(0,0) - d2*L(1,-1) - L(0,0) - L(0,0)^2 - L(1,-1) + L(1,0)\n"
+        "-E11 + 2*E12 - E11*E11 + 2*E22*E12\n"
+        "  [-2, 2]\n"
+        "  [0, 0]\n"
+    )
 
 
 def test_whittaker_and_freeness(capsys):

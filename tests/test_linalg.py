@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbar2lab.base import accumulate
+from sbar2lab.base import accumulate, as_scalar, qdiv
 from sbar2lab.linalg import EchelonSpan, nullspace, rref, solve
 
 
@@ -107,12 +108,35 @@ def test_echelon_rows_stay_reduced():
     halves.add({1: 1, 2: -1})
     assert halves._rows[0] == {0: 1, 2: 1}
     for s in (span, halves):
-        for pivot, row in s._rows.items():
+        assert_primitive_rows(s)
+        for pivot in s.pivot_keys():
+            row = s.reduced_row(pivot)
             assert row[pivot] == 1
             assert not any(integral_fraction(c) for c in row.values())
-            for other in s._rows:
-                if other != pivot:
-                    assert other not in row
+
+
+def test_stored_rows_are_primitive_int_vectors():
+    span = EchelonSpan()
+    span.add({0: 4, 1: 6, 2: 2})
+    span.add({1: Fraction(3, 2), 2: Fraction(-1, 3)})
+    # the second row cancels key 1 in the first: 3 * (2, 3, 1) - (0, 9, -2)
+    assert span._rows == {0: {0: 6, 2: 5}, 1: {1: 9, 2: -2}}
+    assert span.reduced_row(1) == {1: 1, 2: Fraction(-2, 9)}
+    assert span.reduce({0: 1}) == {2: Fraction(-5, 6)}
+    # 3 * (-2, 0, 0, 5) + (6, 0, 5, 0) has its pivot at key 2
+    assert span.add({0: -2, 3: 5}) == {2: 1, 3: 3}
+    assert span._rows == {0: {0: 2, 3: -5}, 1: {1: 3, 3: 2}, 2: {2: 1, 3: 3}}
+    assert_primitive_rows(span)
+
+
+def assert_primitive_rows(span):
+    """Every stored row is an int vector with coprime entries, positive at
+    its own pivot and 0 at every other pivot."""
+    for pivot, row in span._rows.items():
+        assert all(type(c) is int and c for c in row.values())
+        assert row[pivot] > 0
+        assert math.gcd(*row.values()) == 1
+        assert (set(span._rows) - {pivot}).isdisjoint(row)
 
 
 # --- properties on small random matrices ------------------------------------
@@ -138,6 +162,81 @@ def gauss_jordan(rows):
     return m[:r], pivots
 
 
+class NormalizingSpan:
+    """The sparse eliminator as it was before its rows became fraction-free:
+    every row is scaled to 1 at its pivot with a Fraction inverse. Kept as an
+    oracle; it has the same pivots, reduced rows and residuals."""
+
+    def __init__(self, key_rank=None):
+        self._key_rank = key_rank
+        self._rows: dict = {}  # pivot key -> reduced row with pivot coefficient 1
+
+    def reduce(self, vec: dict) -> dict:
+        v = {k: as_scalar(c) for k, c in vec.items() if c}
+        for pivot in [k for k in v if k in self._rows]:
+            _axpy(v, -v.pop(pivot), self._rows[pivot], pivot)
+        return v
+
+    def add(self, vec: dict):
+        rem = self.reduce(vec)
+        if not rem:
+            return None
+        pivot = min(rem, key=self._key_rank)
+        inv = qdiv(1, rem[pivot])
+        row = {k: as_scalar(c * inv) for k, c in rem.items()}
+        for other in self._rows.values():
+            f = other.pop(pivot, 0)
+            if f:
+                _axpy(other, -f, row, pivot)
+        self._rows[pivot] = row
+        return row
+
+
+def _axpy(acc, f, row, pivot):
+    for k, c in row.items():
+        if k != pivot:
+            accumulate(acc, k, f * c)
+            if k in acc:
+                acc[k] = as_scalar(acc[k])
+
+
+def oracle_rref(rows):
+    span = NormalizingSpan()
+    for r in rows:
+        span.add({j: x for j, x in enumerate(r) if x})
+    ncols = len(rows[0]) if rows else 0
+    pivots = sorted(span._rows)
+    return [[span._rows[p].get(j, 0) for j in range(ncols)] for p in pivots], pivots
+
+
+def oracle_nullspace(rows, ncols):
+    span = NormalizingSpan()
+    for r in rows:
+        span.add(r)
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in span._rows}
+    for pc in sorted(span._rows):
+        for j, c in span._rows[pc].items():
+            if j != pc:
+                basis[j][pc] = -c
+    return list(basis.values())
+
+
+def oracle_solve(columns, target):
+    ncols = len(columns)
+    reduced, pivots = oracle_rref([[col[i] for col in columns] + [t] for i, t in enumerate(target)])
+    if ncols in pivots:
+        return None
+    x = [0] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = reduced[r][ncols]
+    return x
+
+
+def same_scalars(a, b) -> bool:
+    """Equal, and an int exactly where the other is an int."""
+    return a == b and repr(a) == repr(b)
+
+
 SCALARS = st.one_of(
     st.just(0),
     st.integers(-3, 3),
@@ -145,12 +244,20 @@ SCALARS = st.one_of(
 )
 
 
+# wider entries, so that rows have a content and pivots a common factor
+WIDE_SCALARS = st.one_of(
+    st.just(0),
+    st.integers(-60, 60),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
 @st.composite
-def matrices(draw, min_rows=0):
+def matrices(draw, min_rows=0, scalars=SCALARS):
     """Small int/Fraction matrices with some rows and columns forced to zero."""
     nrows = draw(st.integers(min_rows, 5))
     ncols = draw(st.integers(1, 5))
-    m = [[draw(SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    m = [[draw(scalars) for _ in range(ncols)] for _ in range(nrows)]
     for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
         if i < nrows:
             m[i] = [0] * ncols
@@ -246,3 +353,37 @@ def test_reduce_leaves_no_pivot_and_removes_a_span_element(m, probes):
         for k, c in rem.items():
             accumulate(diff, k, -c)
         assert span.contains(diff)
+
+
+ANY_MATRICES = st.one_of(matrices(), matrices(scalars=WIDE_SCALARS))
+
+
+@PROPERTY
+@given(ANY_MATRICES, matrices(min_rows=1, scalars=WIDE_SCALARS), st.sampled_from([None, lambda k: -k]))
+def test_span_matches_the_normalizing_oracle(m, probes, key_rank):
+    span, oracle = EchelonSpan(key_rank), NormalizingSpan(key_rank)
+    for v in as_vectors(m):
+        stored, expected = span.add(v), oracle.add(v)
+        assert (stored is None) == (expected is None)
+        if stored is not None:
+            # the stored int row is a positive multiple of the oracle's row
+            pivot = min(stored, key=key_rank)
+            assert {k: qdiv(c, stored[pivot]) for k, c in stored.items()} == expected
+        assert_primitive_rows(span)
+    assert set(span.pivot_keys()) == set(oracle._rows)
+    for pivot, row in oracle._rows.items():
+        assert same_scalars(span.reduced_row(pivot), row)
+    for v in as_vectors(probes):
+        rem = span.reduce(v)
+        assert same_scalars(rem, oracle.reduce(v))
+        assert span.contains(v) == (not rem)
+
+
+@PROPERTY
+@given(matrices(min_rows=1, scalars=WIDE_SCALARS), st.data())
+def test_rref_nullspace_and_solve_match_the_oracle(m, data):
+    ncols = len(m[0])
+    assert same_scalars(rref(m), oracle_rref(m))
+    assert same_scalars(nullspace(as_vectors(m), ncols), oracle_nullspace(as_vectors(m), ncols))
+    target = data.draw(st.lists(WIDE_SCALARS, min_size=ncols, max_size=ncols))
+    assert same_scalars(solve(m, target), oracle_solve(m, target))

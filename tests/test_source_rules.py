@@ -2,7 +2,10 @@
 every scalar exact."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import sbar2lab
 
@@ -152,12 +155,31 @@ def _calls(tree, name: str) -> list:
     ]
 
 
+def _is_row_update(node) -> bool:
+    """``accumulate(...)``, or a sum or difference with a product operand."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "accumulate"
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, (ast.Add, ast.Sub))
+        and any(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in (node.left, node.right))
+    )
+
+
 def test_linalg_has_one_elimination_routine():
-    # EchelonSpan.add takes the only pivot inverse; a second qdiv in linalg
-    # would mean a second elimination loop
-    sites = _calls(MODULES["linalg.py"], "qdiv")
-    inside = _calls(_method("linalg.py", "EchelonSpan", "add"), "qdiv")
-    assert len(sites) == 1 and sites == inside, [node.lineno for node in sites]
+    # elimination runs on int rows: a row is scaled to 1 at its pivot only
+    # when it is read out, and reduce rescales its residual once at the end
+    linalg = MODULES["linalg.py"]
+    readout = [_method("linalg.py", "EchelonSpan", name) for name in ("reduced_row", "reduce")]
+    sites = sorted(node.lineno for node in _calls(linalg, "qdiv"))
+    assert sites == sorted(node.lineno for tree in readout for node in _calls(tree, "qdiv")), sites
+    names = {getattr(node, field, None) for node in ast.walk(linalg) for field in ("id", "attr", "name")}
+    assert "Fraction" not in names
+    # _eliminate makes the only row update, so a second elimination loop,
+    # normalizing or fraction-free, fails here
+    inside = {id(node) for node in ast.walk(_function("linalg.py", "_eliminate"))}
+    updates = [node for node in ast.walk(linalg) if _is_row_update(node)]
+    assert updates and [node.lineno for node in updates if id(node) not in inside] == []
 
 
 def test_module_action_is_written_out_once():
@@ -260,3 +282,12 @@ def test_only_the_normal_form_engines_are_memoized_for_the_process():
     planted = "import functools\n\n@functools.lru_cache(None)\ndef f(x):\n    return x\n\ng = functools.cache(f)\n"
     tree = ast.parse(planted)
     assert _memoized_functions(tree) == [("f", 3)] and _memo_references(tree) == [3, 7]
+
+
+def test_import_leaves_dataclasses_out():
+    # dataclasses imports inspect, which costs more start-up time than the
+    # rest of the package's standard-library imports
+    probe = "import sys, sbar2lab; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
