@@ -10,8 +10,8 @@ as in Bareiss's integer-preserving elimination with the content divided out.
 pivot are exactly that form. ``nullspace`` takes sparse rows
 ``{column: value}`` and reads its sparse kernel vectors off one span ordered
 by column index, ``rref`` inserts the nonzero entries of each dense matrix
-row the same way, and ``solve`` reads its solution off ``rref``. Every
-entry read out passes through ``qdiv``, so an integral entry is an int.
+row the same way, and ``solve`` reads its solution off ``rref``. An entry
+read out is an int where it is integral, a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class EchelonSpan:
         echelon form of the span."""
         row = self._rows[pivot]
         p = row[pivot]
-        return {k: qdiv(c, p) for k, c in row.items()}
+        return dict(row) if p == 1 else {k: qdiv(c, p) for k, c in row.items()}
 
     def contains(self, vec: dict) -> bool:
         return not self._residual(vec)[0]
