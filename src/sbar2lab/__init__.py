@@ -31,7 +31,6 @@ from .tmodule import (
     TVector,
     closure_probe,
     sigma_act,
-    t_act,
     uh_freeness_check,
     whittaker_space,
 )

@@ -174,15 +174,6 @@ class Loc(LinComb):
     def partial(cls, i: int, exp: int = 1) -> "Loc":
         return cls({((), (exp, 0) if i == 1 else (0, exp)): 1})
 
-    def to_uenv(self) -> UEnv:
-        out: dict = {}
-        for (head, (m1, m2)), c in self.terms.items():
-            if m1 < 0 or m2 < 0:
-                raise ValueError("element has negative constant-field exponents")
-            word = head + (P1_LETTER,) * m1 + (P2_LETTER,) * m2
-            accumulate(out, word, (-1) ** m2 * c)
-        return UEnv(out)
-
     def _key_mul(self, k1: LocKey, k2: LocKey):
         (h1, m1), (h2, m2) = k1, k2
         out = []

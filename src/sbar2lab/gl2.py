@@ -183,11 +183,6 @@ def pi_env(u) -> Gl2Poly:
     def image(word) -> Gl2Poly:
         img = Gl2Poly.one()
         for letter in word:
-            deg = letter_degree(letter)
-            if deg < 0:
-                raise ValueError("constant fields have no image in gl_2")
-            if deg >= 1:
-                return Gl2Poly()
             img = img * pi_letter(letter)
         return img
 

@@ -165,12 +165,7 @@ def apply_to_poly(x: VectorField, p: Poly2) -> Poly2:
 
 def divergence(x: VectorField) -> Poly2:
     """d/dt_1(p_1) + d/dt_2(p_2); constant iff the field is in the algebra."""
-    out = []
-    for (exp, i), c in x.terms.items():
-        e = exp[i - 1]
-        if e > 0:
-            out.append((msub(exp, E1 if i == 1 else E2), c * e))
-    return Poly2(out)
+    return linear(x.items(), lambda key: Poly2.monomial(key[0]).diff(key[1]), Poly2)
 
 
 def l_basis(alpha: MultiIndex) -> VectorField:

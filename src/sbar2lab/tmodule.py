@@ -2,7 +2,10 @@
 
 A module vector is a finite combination of t^b x v_k over the polynomial
 exponents b and the weight basis of a fixed simple gl_2-module; it carries
-its type vector a. A basis letter acts through
+its type vector a. A basis letter x acts through its generator image phi(x) in
+(Weyl) x U(nonnegative part): each Weyl term acts on the polynomial factor,
+each residual t^r x L as t^r times pi(L) on v, with pi the degree-zero
+identification of ``gl2``. Read off phi and the pi table, that is
 
     L_a (p x v) = L_a p x v + (1+a1)(1+a2) t^a p x (E11 - E22) v
                 + a2 (1+a2) t^(a+e1-e2) p x E21 v
@@ -26,11 +29,11 @@ from __future__ import annotations
 from .base import (
     E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, terms_str,
 )
-from .enveloping import Loc, UEnv, Word, loc_act
-from .gl2 import Gl2Module, mat_mul, mat_identity, pi_letter
-from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_basis, l_indices, letter_degree
+from .enveloping import Loc, Word, loc_act
+from .gl2 import Gl2Module, pi_letter
+from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_indices, letter_degree
 from .linalg import EchelonSpan, nullspace
-from .weyl import A2aVector, Weyl, a2a_act
+from .weyl import phi_letter
 
 TKey = tuple[MultiIndex, int]  # (polynomial exponent, weight basis index)
 
@@ -60,10 +63,6 @@ class TVector(LinComb):
         if beta[0] < 0 or beta[1] < 0:
             raise ValueError(f"polynomial exponent must be nonnegative, got {beta}")
         return cls({(beta, k): 1}, a=a, module=module)
-
-    @classmethod
-    def zero_of(cls, module: Gl2Module, a) -> "TVector":
-        return cls((), a=a, module=module)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -96,26 +95,19 @@ _RECIPES: dict[Letter, tuple] = {}
 
 
 def _letter_recipe(letter: Letter):
+    """Read the recipe off phi(letter): a Weyl term t^gamma d_i x 1 is a field
+    entry, and a residual t^r x L is one gl entry per term of pi(L), so a
+    positive-degree residual gives none."""
     rec = _RECIPES.get(letter)
     if rec is not None:
         return rec
-    if letter == D2:
-        fields = [(E2, 2, 1)]
-        gl = [((0, 0), (2, 2), 1)]
-    else:
-        alpha = (letter[2], letter[3])
-        fields = [((exp), i, c) for (exp, i), c in l_basis(alpha).terms.items()]
-        gl = []
-        c0 = (1 + alpha[0]) * (1 + alpha[1])
-        if c0:
-            gl.append((alpha, (1, 1), c0))
-            gl.append((alpha, (2, 2), -c0))
-        c21 = alpha[1] * (1 + alpha[1])
-        if c21:
-            gl.append((madd(alpha, (1, -1)), (2, 1), c21))
-        c12 = -alpha[0] * (1 + alpha[0])
-        if c12:
-            gl.append((madd(alpha, (-1, 1)), (1, 2), c12))
+    fields, gl = [], []
+    for ((gamma, d_exp), word), c in phi_letter(letter).items():
+        if word:
+            (residual,) = word
+            gl.extend((gamma, ij, c * g) for (ij,), g in pi_letter(residual).items())
+        else:
+            fields.append((gamma, 1 if d_exp[0] else 2, c))
     _RECIPES[letter] = (fields, gl)
     return fields, gl
 
@@ -179,10 +171,6 @@ def act_word(word: Word, w: TVector) -> TVector:
     return w
 
 
-def act_uenv(u: UEnv, w: TVector) -> TVector:
-    return linear(u.items(), lambda word: act_word(word, w), w._new)
-
-
 def act_partial(i: int, w: TVector) -> TVector:
     """Module action of d/dt_i: the letter L(-1,0) for i=1 and minus the
     letter L(0,-1) for i=2, as in ``UEnv.partial``."""
@@ -199,50 +187,6 @@ def act_loc(x: Loc, w: TVector) -> TVector:
             if m[i - 1] < 0 and not w.a[i - 1]:
                 raise ValueError(f"localized action needs a_{i} != 0")
     return loc_act(x, w, act_partial, act_word, w.a)
-
-
-def t_act(x, w: TVector) -> TVector:
-    """Action dispatcher for basis elements, enveloping words, or localized
-    elements."""
-    if isinstance(x, Sbar):
-        return act_sbar(x, w)
-    if isinstance(x, UEnv):
-        return act_uenv(x, w)
-    if isinstance(x, Loc):
-        return act_loc(x, w)
-    raise TypeError(f"cannot act with {type(x).__name__} on a tensor module")
-
-
-def act_tensoralg(el, w: TVector) -> TVector:
-    """Action of an element of (Weyl) x U(nonnegative part): the Weyl factor
-    acts on the polynomial with shifted derivatives, the second factor through
-    the degree-zero identification with positive-degree letters acting by 0.
-
-    Cross-validates the displayed letter action against the generator images.
-    """
-    module = w.module
-    parts: dict = {}  # weight index -> polynomial part of w
-    for (beta, k), c in w.terms.items():
-        parts.setdefault(k, {})[beta] = c
-    polys = {k: A2aVector(Poly2(terms), w.a) for k, terms in parts.items()}
-
-    def image(key) -> dict:
-        weyl_key, word = key
-        out: dict = {}
-        if any(letter_degree(l) >= 1 for l in word):
-            return out
-        mat = mat_identity(module.dim)
-        for letter in word:
-            mat = mat_mul(mat, pi_letter(letter).evaluate(module))
-        op = Weyl({weyl_key: 1})
-        for k, f in polys.items():
-            for exp, c in a2a_act(op, f).poly.items():
-                for kk in range(module.dim):
-                    if mat[kk][k]:
-                        accumulate(out, (exp, kk), c * mat[kk][k])
-        return out
-
-    return linear(el.items(), image, w._new)
 
 
 def random_seed_vector(module: Gl2Module, a, rng) -> TVector:

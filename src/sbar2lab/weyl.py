@@ -207,9 +207,12 @@ def phi_L(alpha: MultiIndex) -> TensorAlg:
     return TensorAlg(terms)
 
 
-@run_memo
-def _phi_letter(letter) -> TensorAlg:
+def phi_letter(letter) -> TensorAlg:
+    """phi of one basis letter, d2 or some L_a."""
     return phi_d2() if letter == D2 else phi_L(letter_alpha(letter))
+
+
+_phi_letter = run_memo(phi_letter)
 
 
 def phi_sbar(x: Sbar) -> TensorAlg:

@@ -133,13 +133,25 @@ def test_loc_agrees_with_uenv_and_associates():
         assert (xs[0] * xs[1]) * xs[2] == xs[0] * (xs[1] * xs[2])
 
 
+def loc_to_uenv(x: Loc) -> UEnv:
+    """Inverse of ``Loc.from_uenv`` on elements without negative powers of
+    the constant fields: each key's head word followed by p1^m1 p2^m2, with
+    the sign of p2 = -L(0,-1)."""
+    out: dict = {}
+    for (head, (m1, m2)), c in x.terms.items():
+        if m1 < 0 or m2 < 0:
+            raise ValueError("element has negative constant-field exponents")
+        accumulate(out, head + (P1_LETTER,) * m1 + (P2_LETTER,) * m2, (-1) ** m2 * c)
+    return UEnv(out)
+
+
 def test_loc_round_trip():
     rng = random.Random(8)
     for _ in range(20):
         x = rand_uenv(rng)
-        assert Loc.from_uenv(x).to_uenv() == x
+        assert loc_to_uenv(Loc.from_uenv(x)) == x
     with pytest.raises(ValueError):
-        Loc.partial(1, -1).to_uenv()
+        loc_to_uenv(Loc.partial(1, -1))
 
 
 def test_reduce_examples():

@@ -291,3 +291,39 @@ def test_import_leaves_dataclasses_out():
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+GL_PAIRS = {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def _gl_pair_literals(tree) -> list:
+    """Lines of tuple literals (i, j) with i, j in {1, 2}, except the iterable
+    of a loop and the right side of an ``in`` test, where such a tuple lists
+    the two directions."""
+    skip = {id(node.iter) for node in ast.walk(tree) if isinstance(node, (ast.For, ast.comprehension))}
+    skip |= {
+        id(node.comparators[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn))
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and id(node) not in skip
+        and all(isinstance(e, ast.Constant) for e in node.elts)
+        and tuple(e.value for e in node.elts) in GL_PAIRS
+    ]
+
+
+def test_phi_is_written_out_once():
+    # the tensor-module action is read off phi and the pi table: tmodule
+    # names no E_ij of its own, the recipe has no d2 branch and no binomial
+    # of phi, and the identification's degree rules live in pi_letter only
+    assert _gl_pair_literals(MODULES["tmodule.py"]) == []
+    recipe = _function("tmodule.py", "_letter_recipe")
+    names = {node.id for node in ast.walk(recipe) if isinstance(node, ast.Name)}
+    assert names & {"D2", "binom2", "comb0"} == set()
+    assert _calls(_function("gl2.py", "pi_env"), "letter_degree") == []
+    planted = "def f(alpha, j):\n    for i in (2, 1):\n        if j not in (1, 2):\n            g = [(alpha, (2, 1), 1)]\n"
+    assert _gl_pair_literals(ast.parse(planted)) == [4]

@@ -7,30 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbar2lab import suites
-from sbar2lab.base import Poly2, accumulate
+from sbar2lab.base import E2, Poly2, accumulate, madd
 from sbar2lab.enveloping import Loc, UEnv
-from sbar2lab.gl2 import gl2_simple
-from sbar2lab.lie import D2, L_letter, Sbar, sbar_bracket
+from sbar2lab.gl2 import gl2_simple, mat_identity, mat_mul, pi_letter
+from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, sbar_bracket
 from sbar2lab.report import FAIL, PASS
 from sbar2lab.suites import _letters, run_suite
 from sbar2lab.tmodule import (
     BasisImages,
     SigmaOp,
     TVector,
+    _letter_recipe,
     act_letter,
     act_loc,
     act_partial,
     act_sbar,
-    act_tensoralg,
     closure_probe,
     sigma_act,
     sigma_terms,
     slice_keys,
-    t_act,
     uh_freeness_check,
     whittaker_space,
 )
-from sbar2lab.weyl import phi_L
+from sbar2lab.weyl import A2aVector, Weyl, a2a_act, phi_letter
 
 
 def basis(module, a, beta, k):
@@ -51,11 +50,9 @@ def test_action_examples():
 def test_action_dispatcher():
     m = gl2_simple((1, 0))
     w0 = basis(m, (1, 1), (0, 0), 0)
-    assert t_act(Sbar.d2(), w0) == act_letter(D2, w0)
-    assert t_act(UEnv.d2(), w0) == act_letter(D2, w0)
-    assert t_act(Loc.partial(1, -1), w0) == w0
-    with pytest.raises(TypeError):
-        t_act(3, w0)
+    assert act_sbar(Sbar.d2(), w0) == act_letter(D2, w0)
+    assert act_loc(Loc.from_uenv(UEnv.d2()), w0) == act_letter(D2, w0)
+    assert act_loc(Loc.partial(1, -1), w0) == w0
 
 
 def test_derived_vectors_reuse_the_coerced_type_vector():
@@ -99,7 +96,7 @@ def test_partial_is_the_shifted_derivative(w, i):
 def test_act_letter_is_linear(w, letter):
     # BasisImages rests on this: the images of basis keys determine the
     # action on every vector
-    expect = TVector.zero_of(w.module, w.a)
+    expect = TVector(a=w.a, module=w.module)
     for key, c in w.terms.items():
         expect = expect + act_letter(letter, TVector({key: 1}, a=w.a, module=w.module)) * c
     assert act_letter(letter, w) == expect
@@ -138,21 +135,65 @@ def test_module_axiom_window():
                 assert lhs == act_sbar(br, w)
 
 
-def test_display_matches_generator_images():
-    indices = [
-        (a1, a2)
-        for a1 in range(-1, 4)
-        for a2 in range(-1, 4)
-        if (a1, a2) != (-1, -1) and -1 <= a1 + a2 <= 2
+def act_tensoralg(el, w: TVector) -> TVector:
+    """Oracle: the action of an element of (Weyl) x U(nonnegative part) on
+    T(a, V). The Weyl factor acts on each weight component through
+    ``a2a_act``, a word of the second factor through the product of its
+    ``pi_letter`` matrices; positive-degree letters give the zero matrix."""
+    module = w.module
+    parts: dict = {}  # weight index -> polynomial part of w
+    for (beta, k), c in w.terms.items():
+        parts.setdefault(k, {})[beta] = c
+    polys = {k: A2aVector(Poly2(terms), w.a) for k, terms in parts.items()}
+    out: dict = {}
+    for (weyl_key, word), coeff in el.items():
+        mat = mat_identity(module.dim)
+        for letter in word:
+            mat = mat_mul(mat, pi_letter(letter).evaluate(module))
+        op = Weyl({weyl_key: 1})
+        for k, f in polys.items():
+            for exp, c in a2a_act(op, f).poly.items():
+                for kk in range(module.dim):
+                    if mat[kk][k]:
+                        accumulate(out, (exp, kk), coeff * c * mat[kk][k])
+    return TVector(out, a=w.a, module=module)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_vectors(), st.sampled_from(_letters(2)))
+def test_display_matches_generator_images(w, letter):
+    # act_letter runs on recipes read off phi; the oracle acts with the
+    # generator image phi(letter) itself
+    assert act_letter(letter, w) == act_tensoralg(phi_letter(letter), w)
+
+
+def displayed_recipe(letter):
+    """The module docstring's formula for ``letter``, written out by hand as
+    (field entries, gl entries) with zero coefficients dropped."""
+    if letter == D2:
+        return [(E2, 2, 1)], [((0, 0), (2, 2), 1)]
+    alpha = letter_alpha(letter)
+    fields = [(exp, i, c) for (exp, i), c in l_basis(alpha).terms.items()]
+    c0 = (1 + alpha[0]) * (1 + alpha[1])
+    c21 = alpha[1] * (1 + alpha[1])
+    c12 = -alpha[0] * (1 + alpha[0])
+    gl = [
+        (alpha, (1, 1), c0),
+        (alpha, (2, 2), -c0),
+        (madd(alpha, (1, -1)), (2, 1), c21),
+        (madd(alpha, (-1, 1)), (1, 2), c12),
     ]
-    for alpha in indices:
-        el = phi_L(alpha)
-        for lam, a in (((1, 0), (1, 1)), ((2, 0), (0, 0))):
-            m = gl2_simple(lam)
-            for beta in ((0, 0), (1, 2)):
-                for k in range(m.dim):
-                    w = basis(m, a, beta, k)
-                    assert act_tensoralg(el, w) == act_letter(L_letter(alpha), w)
+    return fields, [entry for entry in gl if entry[2]]
+
+
+def test_recipe_is_the_displayed_formula():
+    # the recipes are read off phi and the pi table, in phi's term order;
+    # as sorted lists they are the displayed formula
+    for letter in _letters(6):
+        fields, gl = _letter_recipe(letter)
+        expect_fields, expect_gl = displayed_recipe(letter)
+        assert sorted(fields) == sorted(expect_fields), letter
+        assert sorted(gl) == sorted(expect_gl), letter
 
 
 @pytest.mark.parametrize(
@@ -287,7 +328,7 @@ def test_closure_probe_profiles():
     report = closure_probe(basis(m, (1, 1), (0, 0), 0), 5, 2)
     assert report["full"]
     with pytest.raises(ValueError):
-        closure_probe(TVector.zero_of(m, (1, 1)), 4, 2)
+        closure_probe(TVector(a=(1, 1), module=m), 4, 2)
 
 
 def test_closure_probe_random_seed_simple_case():
