@@ -167,18 +167,30 @@ class LinComb:
         items = terms.items() if isinstance(terms, dict) else terms
         for key, c in items:
             c = as_scalar(c)
-            if not c:
-                continue
             # a first occurrence needs no sum, so it skips the call
             if key in acc:
                 accumulate(acc, key, c)
-            else:
+            elif c:
                 acc[key] = c
-        self.terms = acc
+        self._own(acc)
+
+    def _own(self, terms: dict) -> None:
+        """Store ``terms``, a dict of nonzero values, as this combination's own,
+        coercing each value that is not an int: a sum of Fractions can be integral."""
+        for key, c in terms.items():
+            if type(c) is not int:
+                terms[key] = as_scalar(c)
+        self.terms = terms
+
+    @classmethod
+    def _adopt(cls, terms: dict):
+        """The no-copy constructor: ``terms`` is a dict the caller owns and hands over."""
+        out = cls.__new__(cls)
+        out._own(terms)
+        return out
 
     # subclasses carrying metadata override this construction hook
-    def _new(self, terms):
-        return type(self)(terms)
+    _new = _adopt
 
     @classmethod
     def zero(cls):
@@ -273,13 +285,13 @@ def linear(pairs, image, out):
 
 
 def bilinear(x: LinComb, y: LinComb, key_fn, out):
-    """Bilinear extension of ``key_fn(k1, k2) -> iterable[(key, factor)]``."""
-    acc = []
+    """Bilinear extension of ``key_fn(k1, k2) -> iterable[(key, factor)]``, built as in ``linear``."""
+    acc: dict = {}
     for k1, c1 in x.terms.items():
         for k2, c2 in y.terms.items():
             c = c1 * c2
             for key, f in key_fn(k1, k2):
-                acc.append((key, c * f))
+                accumulate(acc, key, c * f)
     return out(acc)
 
 

@@ -83,7 +83,7 @@ def g0_poly(alpha: MultiIndex) -> Poly2:
 
 def dpoly_to_uenv(p: Poly2) -> UEnv:
     """Expand a polynomial in d1, d2 through the letter basis."""
-    return linear(p.items(), lambda exp: UEnv.d1() ** exp[0] * UEnv.d2() ** exp[1], UEnv)
+    return linear(p.items(), lambda exp: UEnv.d1() ** exp[0] * UEnv.d2() ** exp[1], UEnv._adopt)
 
 
 def _beta_range(alpha: MultiIndex) -> list[MultiIndex]:
@@ -120,7 +120,7 @@ def y_element(alpha: MultiIndex) -> Loc:
 
 def xi_y(alpha: MultiIndex) -> UEnv:
     """Y_a with its trailing p-exponents deleted."""
-    return linear(y_element(alpha).items(), lambda key: {key[0]: 1}, UEnv)
+    return linear(y_element(alpha).items(), lambda key: {key[0]: 1}, UEnv._adopt)
 
 
 def centralizer_check(alpha: MultiIndex) -> dict[str, Loc]:

@@ -205,7 +205,7 @@ def _ad_partial(i: int, x: UEnv) -> UEnv:
     return linear(
         [(q + w, s * c) for q, s in p for w, c in terms] + [(w + q, -s * c) for q, s in p for w, c in terms],
         _nf,
-        UEnv,
+        UEnv._adopt,
     )
 
 

@@ -282,7 +282,7 @@ def eval_loc(ast) -> Loc:
         x = _algebra_atom(name, args)
         if x is None:
             raise ValueError(f"atom {name} has no meaning in the enveloping algebra")
-        return Loc.from_uenv(linear(x.items(), UEnv.letter, UEnv))
+        return Loc.from_uenv(linear(x.items(), UEnv.letter, UEnv._adopt))
 
     def neg_pow(name, exp):
         return Loc.partial(1 if name == "p1" else 2, exp)

@@ -173,7 +173,7 @@ def pi_letter(letter) -> Gl2Poly:
 
 def pi_iso(x: Sbar) -> Gl2Poly:
     """Degree-zero identification with gl_2, extended by zero in higher degree."""
-    return linear(x.items(), pi_letter, Gl2Poly)
+    return linear(x.items(), pi_letter, Gl2Poly._adopt)
 
 
 def pi_env(u) -> Gl2Poly:
@@ -186,4 +186,4 @@ def pi_env(u) -> Gl2Poly:
             img = img * pi_letter(letter)
         return img
 
-    return linear(u.items(), image, Gl2Poly)
+    return linear(u.items(), image, Gl2Poly._adopt)

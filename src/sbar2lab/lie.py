@@ -155,17 +155,17 @@ def _vf_key_bracket(k1, k2):
 
 def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[t^a d_i, t^b d_j] = b_i t^(a+b-e_i) d_j - a_j t^(a+b-e_j) d_i, bilinearly."""
-    return bilinear(x, y, _vf_key_bracket, VectorField)
+    return bilinear(x, y, _vf_key_bracket, VectorField._adopt)
 
 
 def apply_to_poly(x: VectorField, p: Poly2) -> Poly2:
     """Derivation action of the field on a polynomial in t1, t2."""
-    return linear(x.items(), lambda key: Poly2.monomial(key[0]) * p.diff(key[1]), Poly2)
+    return linear(x.items(), lambda key: Poly2.monomial(key[0]) * p.diff(key[1]), Poly2._adopt)
 
 
 def divergence(x: VectorField) -> Poly2:
     """d/dt_1(p_1) + d/dt_2(p_2); constant iff the field is in the algebra."""
-    return linear(x.items(), lambda key: Poly2.monomial(key[0]).diff(key[1]), Poly2)
+    return linear(x.items(), lambda key: Poly2.monomial(key[0]).diff(key[1]), Poly2._adopt)
 
 
 def l_basis(alpha: MultiIndex) -> VectorField:
@@ -206,7 +206,7 @@ class Sbar(LinComb):
 
 
 def sbar_bracket(x: Sbar, y: Sbar) -> Sbar:
-    return bilinear(x, y, letter_bracket, Sbar)
+    return bilinear(x, y, letter_bracket, Sbar._adopt)
 
 
 def _letter_field(letter: Letter) -> VectorField:
@@ -214,7 +214,7 @@ def _letter_field(letter: Letter) -> VectorField:
 
 
 def sbar_to_vf(x: Sbar) -> VectorField:
-    return linear(x.items(), _letter_field, VectorField)
+    return linear(x.items(), _letter_field, VectorField._adopt)
 
 
 def vf_to_sbar(x: VectorField) -> Sbar:

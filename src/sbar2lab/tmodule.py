@@ -26,6 +26,8 @@ cap cannot have discarded contributions.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .base import (
     E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, terms_str,
 )
@@ -50,8 +52,7 @@ class TVector(LinComb):
 
     def _new(self, terms):
         # self.a is coerced already, so it is copied, not coerced again
-        out = TVector.__new__(TVector)
-        LinComb.__init__(out, terms)
+        out = self._adopt(terms)
         out.a = self.a
         out.module = self.module
         return out
@@ -133,30 +134,37 @@ def act_letter(letter: Letter, w: TVector) -> TVector:
 
 class BasisImages:
     """``act_letter`` images of basis keys on T(a, V) for one module and type
-    vector, memoized for the lifetime of one check or one search."""
+    vector, memoized for the lifetime of one check or one search in one
+    table per letter."""
 
-    __slots__ = ("module", "a", "_memo")
+    __slots__ = ("module", "a", "_tables")
 
     def __init__(self, module: Gl2Module, a):
         self.module = module
         self.a = a
-        self._memo: dict = {}
+        self._tables: defaultdict = defaultdict(dict)  # letter -> {key: terms}
 
     def image(self, letter: Letter, key: TKey) -> dict:
         """The terms of ``act_letter(letter, e_key)``; read, do not mutate."""
-        res = self._memo.get((letter, key))
+        table = self._tables[letter]
+        res = table.get(key)
         if res is None:
-            res = self._memo[(letter, key)] = act_letter(letter, TVector({key: 1}, a=self.a, module=self.module)).terms
+            res = table[key] = act_letter(letter, TVector({key: 1}, a=self.a, module=self.module)).terms
         return res
 
     def pairs_on(self, terms, key: TKey) -> dict:
         """sum of coeff * L_first L_second e_key over ``(first, second, coeff)``
-        triples, as in ``sigma_terms``: the inner image, then the outer one."""
+        triples, as in ``sigma_terms``: the inner image, then the outer one,
+        looked up in the outer letter's table, fetched once per triple."""
         total: dict = {}
         for first, second, coeff in terms:
+            outer = self._tables[first]
             for k1, c1 in self.image(second, key).items():
                 f = coeff * c1
-                for k2, c2 in self.image(first, k1).items():
+                img = outer.get(k1)
+                if img is None:
+                    img = self.image(first, k1)
+                for k2, c2 in img.items():
                     accumulate(total, k2, f * c2)
         return total
 
@@ -350,7 +358,8 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     while frontier:
         added = []
         for row in frontier:
-            vec = seed._new(row)
+            # a copy: a later add may reduce the stored row in place
+            vec = seed._new(dict(row))
             row_degree = vec.degree()
             for letter in generators:
                 if row_degree + letter_degree(letter) + 1 <= degree:

@@ -136,7 +136,7 @@ def a2a_act(x: Weyl, f: A2aVector) -> A2aVector:
                 p = p.diff(i) + p * f.a[i - 1]
         return Poly2.monomial(te) * p
 
-    return A2aVector(linear(x.items(), image, Poly2), f.a)
+    return A2aVector(linear(x.items(), image, Poly2._adopt), f.a)
 
 
 TensorKey = tuple[WeylKey, Word]
@@ -216,7 +216,7 @@ _phi_letter = run_memo(phi_letter)
 
 
 def phi_sbar(x: Sbar) -> TensorAlg:
-    return linear(x.items(), _phi_letter, TensorAlg)
+    return linear(x.items(), _phi_letter, TensorAlg._adopt)
 
 
 def phi_hom_check(x, y) -> TensorAlg:

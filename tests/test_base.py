@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.base import Poly2, as_scalar, binom2, comb0, gbinom, linear, qdiv
+from sbar2lab.base import LinComb, Poly2, as_scalar, bilinear, binom2, comb0, gbinom, linear, qdiv
 
 
 def p(terms):
@@ -123,3 +123,32 @@ def test_linear_sums_images_once():
     assert got.terms == {(1, 0): Fraction(1, 2), (0, 1): 1}
     assert type(got.terms[(0, 1)]) is int
     assert linear([], images.__getitem__, Poly2).is_zero()
+
+
+def test_integral_sums_of_fractions_are_stored_as_ints():
+    # a key met twice sums its coefficients, and the sum of two halves is 1
+    half = Fraction(1, 2)
+    got = p({(0, 0): half, (1, 0): half}) * p({(0, 0): 1, (1, 0): 1})
+    assert got.terms == {(0, 0): half, (1, 0): 1, (2, 0): half}
+    assert type(got.terms[(1, 0)]) is int
+    got = LinComb([("k", half), ("k", half)])
+    assert got.terms == {"k": 1} and type(got.terms["k"]) is int
+
+
+def test_results_never_share_terms_with_an_operand():
+    # a combination keeps the dict it is built from, so every operation must
+    # build a fresh one
+    x = p({(1, 0): 2, (0, 1): Fraction(1, 2)})
+    y = p({(1, 0): -2, (0, 0): 1})
+    zero, one = Poly2(), Poly2.one()
+    operands = (x, y, zero, one)
+    results = [
+        x + y, x + zero, zero + x, x - y, x - zero, -x, -zero,
+        x * 1, 1 * x, x * 3, x * Fraction(1, 2), x * 0,
+        x * one, one * x, x * zero, bilinear(x, one, x._key_mul, Poly2._adopt),
+        linear([("x", 1)], {"x": x.terms}.__getitem__, Poly2._adopt),
+        linear([("x", 1)], {"x": x}.__getitem__, Poly2._adopt),
+    ]
+    for r in results:
+        assert all(r.terms is not o.terms for o in operands)
+    assert x.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)} and y.terms == {(1, 0): -2, (0, 0): 1}

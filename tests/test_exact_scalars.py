@@ -1,9 +1,12 @@
-"""Runtime guard: every scalar the package coerces is exact and canonical.
+"""Runtime guard: every scalar the package coerces or stores is exact and
+canonical.
 
 Each suite runs at the golden test's reduced degrees, seed 0, with
-``as_scalar`` wrapped in every module that calls it. No result may be a
-float, and none may be a Fraction with denominator 1: integral coefficients
-are stored as ints.
+``as_scalar`` wrapped in every module that calls it and ``LinComb._own``,
+where every constructor stores its terms, wrapped in ``base``. No result
+and no stored coefficient may be a float, and none may be a Fraction with
+denominator 1: integral coefficients are stored as ints. The stored check
+is the one that sees int coefficients, which skip ``as_scalar``.
 """
 
 import sys
@@ -24,20 +27,32 @@ MODULES = [
 ]
 
 
+def _kind(x) -> str:
+    if type(x) is Fraction and x.denominator == 1:
+        return "integral Fraction"
+    return type(x).__name__
+
+
 @pytest.mark.parametrize("name", suite_names())
 def test_suite_scalars_are_canonical(name, monkeypatch):
-    real = base.as_scalar
-    kinds = Counter()
+    real, real_own = base.as_scalar, base.LinComb._own
+    kinds, stored = Counter(), Counter()
 
     def recording(x):
         out = real(x)
-        integral_fraction = type(out) is Fraction and out.denominator == 1
-        kinds["integral Fraction" if integral_fraction else type(out).__name__] += 1
+        kinds[_kind(out)] += 1
         return out
+
+    def owning(self, terms):
+        real_own(self, terms)
+        stored.update(_kind(c) for c in self.terms.values())
 
     for module in MODULES:
         monkeypatch.setattr(module, "as_scalar", recording)
+    monkeypatch.setattr(base.LinComb, "_own", owning)
     doc = run_suite(name, REDUCED_DEGREES.get(name), 0).to_dict()
     assert doc["summary"]["fail"] == 0
     assert set(kinds) <= {"int", "Fraction"}, kinds
     assert kinds["int"] > 0
+    assert set(stored) <= {"int", "Fraction"}, stored
+    assert stored["int"] > 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbar2lab import lie
 from sbar2lab.base import Poly2
 from sbar2lab.lie import (
     D2,
@@ -22,6 +23,8 @@ from sbar2lab.lie import (
     vf_bracket,
     vf_to_sbar,
 )
+from sbar2lab.report import FAIL
+from sbar2lab.suites import run_suite
 
 
 def letters_up_to(deg, low=-1):
@@ -81,6 +84,35 @@ def test_jacobi_window():
             + sbar_bracket(sz, sbar_bracket(sx, sy))
         )
         assert total.is_zero()
+
+
+def _flip_one(monkeypatch, name, k1, k2):
+    """Patch ``lie.<name>``, a key bracket, to negate its value on (k1, k2) only."""
+    real = getattr(lie, name)
+
+    def flipped(x, y):
+        out = real(x, y)
+        return [(key, -c) for key, c in out] if (x, y) == (k1, k2) else out
+
+    monkeypatch.setattr(lie, name, flipped)
+
+
+@pytest.mark.parametrize(
+    "name, k1, k2, route",
+    [
+        # [L(1,0), L(0,1)] = -3 L(1,1): one determinant
+        ("letter_bracket", L_letter((1, 0)), L_letter((0, 1)), "letters"),
+        # [t1^2 d1, t1 d1] = -t1^2 d1: one monomial bracket
+        ("_vf_key_bracket", ((2, 0), 1), ((1, 0), 1), "fields"),
+    ],
+)
+def test_jacobi_suite_fails_on_one_flipped_bracket(monkeypatch, name, k1, k2, route):
+    # negative control: the suite computes each inner bracket once per case,
+    # and a wrong one still fails its trios on its own route
+    assert getattr(lie, name)(k1, k2)
+    _flip_one(monkeypatch, name, k1, k2)
+    failed = [case for case in run_suite("jacobi", 2).cases if case.status == FAIL]
+    assert failed and all(case.witness["route"] == route for case in failed)
 
 
 def test_bracket_crosscheck_window():

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbar2lab import suites
+from sbar2lab import suites, tmodule
 from sbar2lab.base import E2, Poly2, accumulate, madd
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple, mat_identity, mat_mul, pi_letter
 from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, sbar_bracket
+from sbar2lab.linalg import EchelonSpan
 from sbar2lab.report import FAIL, PASS
 from sbar2lab.suites import _letters, run_suite
 from sbar2lab.tmodule import (
@@ -23,6 +24,7 @@ from sbar2lab.tmodule import (
     act_partial,
     act_sbar,
     closure_probe,
+    random_seed_vector,
     sigma_act,
     sigma_terms,
     slice_keys,
@@ -329,6 +331,48 @@ def test_closure_probe_profiles():
     assert report["full"]
     with pytest.raises(ValueError):
         closure_probe(TVector(a=(1, 1), module=m), 4, 2)
+
+
+def test_vector_results_never_share_terms_with_an_operand():
+    m = gl2_simple((1, 0))
+    w = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (1, 0), 1) * Fraction(1, 2)
+    v = basis(m, (1, 1), (1, 0), 1)
+    results = [w + v, w - v, -w, w * 2, 2 * w, w * 1, w * 0, act_sbar(Sbar.d2(), w)]
+    results += [act_letter(letter, w) for letter in _letters(1)]
+    for r in results:
+        assert r.terms is not w.terms and r.terms is not v.terms
+        assert r.a == w.a and r.module is m
+    assert w == basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (1, 0), 1) * Fraction(1, 2)
+
+
+def test_closure_probe_reads_rows_without_aliasing_them(monkeypatch):
+    # the span's rows change only inside EchelonSpan.add, and a vector the
+    # probe acts on keeps its terms while later adds reduce the row it was
+    # read from
+    class WatchedSpan(EchelonSpan):
+        def __init__(self, key_rank=None):
+            super().__init__(key_rank)
+            self.seen = {}
+
+        def add(self, vec):
+            assert self._rows == self.seen
+            row = super().add(vec)
+            self.seen = {pivot: dict(r) for pivot, r in self._rows.items()}
+            return row
+
+    acted = {}  # id -> (vector, its terms when first acted on)
+
+    def watched_act(letter, w):
+        _, terms = acted.setdefault(id(w), (w, dict(w.terms)))
+        assert w.terms == terms
+        return act_letter(letter, w)
+
+    monkeypatch.setattr(tmodule, "EchelonSpan", WatchedSpan)
+    monkeypatch.setattr(tmodule, "act_letter", watched_act)
+    # a random seed, so later adds do reduce rows that were read already
+    seed = random_seed_vector(gl2_simple((1, 0)), (1, 1), random.Random(0))
+    assert closure_probe(seed, 6, 2)["tracked_rank"] > 20
+    assert len(acted) > 20 and all(w.terms == terms for w, terms in acted.values())
 
 
 def test_closure_probe_random_seed_simple_case():
