@@ -16,16 +16,15 @@ from .lie import (
     vf_bracket,
     vf_to_sbar,
 )
-from .weyl import A2aVector, TensorAlg, Weyl, a2a_act, phi_L, phi_d2, phi_hom_check, phi_t
+from .weyl import TensorAlg, Weyl, phi_L, phi_d2, phi_hom_check, phi_t
 from .enveloping import (
     Loc,
     Q1,
     UEnv,
-    pbw_normalize,
     q1_act,
     reduce_mod_I1,
 )
-from .gl2 import Gl2Module, Gl2Poly, gl2_simple, pi_iso
+from .gl2 import Gl2Module, Gl2Poly, gl2_simple
 from .tmodule import (
     SigmaOp,
     TVector,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .base import LinComb, MultiIndex, Scalar, accumulate, as_scalar, gbinom, linear, qdiv, terms_str
+from .base import LinComb, MultiIndex, Scalar, accumulate, gbinom, linear, qdiv, terms_str
 from .lie import (
     _AD_CAP,
     D2,
@@ -128,11 +128,6 @@ class UEnv(LinComb):
 
 def _sorted_str(terms: dict, key_str) -> str:
     return terms_str((key_str(key), terms[key]) for key in sorted(terms))
-
-
-def pbw_normalize(seq, c=1) -> UEnv:
-    """Normal form of a coefficient times an arbitrary letter sequence."""
-    return UEnv({w: v for w, v in _nf(tuple(seq)).items()}) * as_scalar(c)
 
 
 def split_tail_partials(word: Word) -> tuple[Word, int, int, int]:

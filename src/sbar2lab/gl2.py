@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .base import LinComb, Scalar, as_scalar, linear, terms_str
 from .enveloping import pbw_engine
-from .lie import D2, Sbar, letter_alpha, letter_degree
+from .lie import D2, letter_alpha, letter_degree
 
 Matrix = tuple[tuple[Scalar, ...], ...]
 
@@ -169,11 +169,6 @@ def pi_letter(letter) -> Gl2Poly:
     if deg >= 1:
         return Gl2Poly()
     return _PI_TABLE[letter_alpha(letter)]
-
-
-def pi_iso(x: Sbar) -> Gl2Poly:
-    """Degree-zero identification with gl_2, extended by zero in higher degree."""
-    return linear(x.items(), pi_letter, Gl2Poly._adopt)
 
 
 def pi_env(u) -> Gl2Poly:

@@ -1,10 +1,20 @@
-"""The rank-2 Weyl algebra, its twisted polynomial module, and the
+"""The rank-2 Weyl algebra, its TensorAlg commutator, and the
 generator-level isomorphism into (Weyl algebra) x U(nonnegative part).
 
 Weyl elements are stored normally ordered (all t's left of all d/dt's); the
 product uses the closed-form reordering identity
 
     d^m t^n = sum_k C(m,k) C(n,k) k! t^(n-k) d^(m-k)   (componentwise).
+
+The k = 0 term of a key product t^a d^b * t^c d^d is t^(a+c) d^(b+d) with
+factor 1 in either order, so a commutator of TensorAlg keys needs only the
+k != 0 terms of each order:
+
+    [A x u, B x v] = (AB)' x uv - (BA)' x vu + t^(a+c) d^(b+d) x (uv - vu)
+
+where A = t^a d^b, B = t^c d^d and ' drops the k = 0 term. (AB)' is empty
+unless some d/dt_i of A meets a t_i of B, and the last term vanishes when
+u = v or either word is empty, as for the field part of phi.
 
 The isomorphism phi on generators:
 
@@ -28,7 +38,7 @@ from .base import (
     LinComb,
     MultiIndex,
     Poly2,
-    as_scalar,
+    bilinear,
     binom2,
     in_phi,
     is_nonneg,
@@ -56,6 +66,9 @@ WeylKey = tuple[MultiIndex, MultiIndex]  # (t exponents, d/dt exponents)
 
 
 def _weyl_key_mul(k1: WeylKey, k2: WeylKey):
+    """Terms of t^a d^b * t^c d^d. The first is always the k = (0, 0) term
+    t^(a+c) d^(b+d) with factor 1, and more follow only when b_i and c_i are
+    both nonzero for some i; ``_tensor_key_bracket`` relies on both."""
     (a, b), (c, d) = k1, k2
     out = []
     for k0 in range(min(b[0], c[0]) + 1):
@@ -107,38 +120,6 @@ def _weyl_key_str(key: WeylKey) -> str:
     return "*".join(p for p in parts if p != "1") or "1"
 
 
-class A2aVector:
-    """Polynomial vector of the twisted module: the operator action sends
-    d/dt_i to d/dt_i + a_i and fixes the t_i."""
-
-    __slots__ = ("poly", "a")
-
-    def __init__(self, poly: Poly2, a: tuple):
-        self.poly = poly
-        self.a = (as_scalar(a[0]), as_scalar(a[1]))
-
-    def __eq__(self, other):
-        return isinstance(other, A2aVector) and self.a == other.a and self.poly == other.poly
-
-    def __repr__(self):
-        return f"A2aVector({self.poly}, a={self.a})"
-
-
-def a2a_act(x: Weyl, f: A2aVector) -> A2aVector:
-    """Operator action on the twisted module; this is the one place where
-    (d/dt_i + a_i)^e acts on a polynomial."""
-
-    def image(key: WeylKey) -> Poly2:
-        te, de = key
-        p = f.poly
-        for i in (1, 2):
-            for _ in range(de[i - 1]):
-                p = p.diff(i) + p * f.a[i - 1]
-        return Poly2.monomial(te) * p
-
-    return A2aVector(linear(x.items(), image, Poly2._adopt), f.a)
-
-
 TensorKey = tuple[WeylKey, Word]
 
 
@@ -157,6 +138,10 @@ class TensorAlg(LinComb):
                 out.append(((wk, word), wf * uf))
         return out
 
+    def bracket(self, other: "TensorAlg") -> "TensorAlg":
+        """The commutator self * other - other * self."""
+        return bilinear(self, other, _tensor_key_bracket, TensorAlg._adopt)
+
     @classmethod
     def from_weyl(cls, x: Weyl) -> "TensorAlg":
         return cls({(k, ()): c for k, c in x.terms.items()})
@@ -174,6 +159,27 @@ class TensorAlg(LinComb):
             (f"{_weyl_key_str(wk)} (x) {word_str(word)}", self.terms[(wk, word)])
             for wk, word in sorted(self.terms)
         )
+
+
+def _tensor_key_bracket(k1: TensorKey, k2: TensorKey):
+    """[A x u, B x v] as in the module docstring, without the k = 0 terms that cancel."""
+    (w1, u1), (w2, u2) = k1, k2
+    (a, b), (c, d) = w1, w2
+    uv = _nf(u1 + u2)
+    out = []
+    if u1 == u2 or not (u1 and u2):
+        vu = uv
+    else:
+        vu = _nf(u2 + u1)
+        head = (madd(a, c), madd(b, d))
+        out += [((head, word), x) for word, x in uv.items()]
+        out += [((head, word), -x) for word, x in vu.items()]
+    # a product has k != 0 terms only where some d/dt_i meets a t_i
+    if b[0] and c[0] or b[1] and c[1]:
+        out += [((wk, word), wf * x) for wk, wf in _weyl_key_mul(w1, w2)[1:] for word, x in uv.items()]
+    if d[0] and a[0] or d[1] and a[1]:
+        out += [((wk, word), -wf * x) for wk, wf in _weyl_key_mul(w2, w1)[1:] for word, x in vu.items()]
+    return out
 
 
 def phi_t(beta: MultiIndex) -> TensorAlg:
@@ -231,11 +237,11 @@ def phi_hom_check(x, y) -> TensorAlg:
     if isinstance(x, Sbar) and isinstance(y, Sbar):
         lhs = phi_sbar(sbar_bracket(x, y))
         fx, fy = phi_sbar(x), phi_sbar(y)
-        return lhs - (fx * fy - fy * fx)
+        return lhs - fx.bracket(fy)
     if isinstance(x, Sbar) and isinstance(y, Poly2):
         lhs = phi_poly(apply_to_poly(sbar_to_vf(x), y))
         fx, fy = phi_sbar(x), phi_poly(y)
-        return lhs - (fx * fy - fy * fx)
+        return lhs - fx.bracket(fy)
     if isinstance(x, Poly2) and isinstance(y, Sbar):
         return -phi_hom_check(y, x)
     if isinstance(x, Poly2) and isinstance(y, Poly2):

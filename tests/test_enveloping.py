@@ -13,13 +13,13 @@ from sbar2lab.enveloping import (
     _ad_partial,
     _nf,
     _partials_past_word,
-    pbw_normalize,
     q1_act,
     reduce_mod_I1,
     split_tail_partials,
 )
 from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER, letter_bracket
 from sbar2lab.linalg import EchelonSpan
+from oracles import pbw_normalize
 
 LETTERS = [D2] + [
     L_letter((a1, a2))

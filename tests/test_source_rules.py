@@ -238,6 +238,15 @@ def test_sums_over_terms_go_through_linear():
     assert _self_sums_over_items(ast.parse(planted)) == [4]
 
 
+def test_weyl_reordering_sum_is_written_out_once():
+    # the k! of d^m t^n = sum_k C(m,k) C(n,k) k! t^(n-k) d^(m-k) appears only
+    # in _weyl_key_mul; the TensorAlg commutator takes its terms past the
+    # first instead of summing again
+    inside = _calls(_function("weyl.py", "_weyl_key_mul"), "factorial")
+    sites = [node.lineno for node in _calls(MODULES["weyl.py"], "factorial")]
+    assert inside and sites == [node.lineno for node in inside]
+
+
 MEMO_DECORATORS = {"cache", "lru_cache"}
 
 

@@ -31,7 +31,8 @@ from sbar2lab.tmodule import (
     uh_freeness_check,
     whittaker_space,
 )
-from sbar2lab.weyl import A2aVector, Weyl, a2a_act, phi_letter
+from sbar2lab.weyl import Weyl, phi_letter
+from oracles import A2aVector, a2a_act
 
 
 def basis(module, a, beta, k):

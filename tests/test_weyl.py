@@ -6,19 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbar2lab import weyl
 from sbar2lab.base import Poly2
 from sbar2lab.enveloping import UEnv, _nf
 from sbar2lab.lie import D2, L_letter, Sbar, VectorField, l_basis, l_indices
 from sbar2lab.weyl import (
-    A2aVector,
     TensorAlg,
     Weyl,
-    a2a_act,
     phi_L,
     phi_d2,
     phi_hom_check,
+    phi_letter,
     phi_t,
 )
+from sbar2lab.report import FAIL
+from sbar2lab.suites import run_suite
+from oracles import A2aVector, a2a_act
 
 
 def rand_weyl(rng):
@@ -101,6 +104,21 @@ def test_phi_hom_check_examples():
     assert phi_hom_check(x, x).is_zero()
 
 
+def test_phi_hom_suite_fails_on_one_wrong_coefficient(monkeypatch):
+    # negative control: phi(L(1,0)) carries 2 on t^(1,0) x L(0,0); with 3
+    # there the suite must report a failing pair
+    key = (((1, 0), (0, 0)), (L_letter((0, 0)),))
+    assert phi_letter(L_letter((1, 0))).terms[key] == 2
+
+    def skewed(letter):
+        image = phi_letter(letter)
+        return image + TensorAlg({key: 1}) if letter == L_letter((1, 0)) else image
+
+    monkeypatch.setattr(weyl, "_phi_letter", skewed)
+    failed = [case for case in run_suite("phi-hom", 2, 0).cases if case.status == FAIL]
+    assert any("L(1,0)" in case.witness["pair"] for case in failed)
+
+
 def test_phi_hom_sweep_window():
     letters = [D2] + [
         L_letter((a1, a2))
@@ -147,3 +165,38 @@ def tensor_elements(draw):
 @given(tensor_elements(), tensor_elements(), tensor_elements())
 def test_tensor_product_associates(x, y, z):
     assert (x * y) * z == x * (y * z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tensor_elements(), tensor_elements())
+def test_bracket_is_the_commutator(x, y):
+    assert x.bracket(y) == x * y - y * x
+
+
+def _key(t_exp, d_exp, *word):
+    return ((t_exp, d_exp), tuple(L_letter(alpha) for alpha in word))
+
+
+@pytest.mark.parametrize(
+    "k1, k2, expect",
+    [
+        # equal words: only the Weyl commutator, d1 t1 - t1 d1 = 1
+        (_key((1, 0), (0, 0), (0, 0)), _key((0, 0), (1, 0), (0, 0)), {_key((0, 0), (0, 0), (0, 0), (0, 0)): -1}),
+        # an empty word on one side: d1 t1^2 - t1^2 d1 = 2 t1
+        (_key((0, 0), (1, 0)), _key((2, 0), (0, 0), (1, 0)), {_key((1, 0), (0, 0), (1, 0)): 2}),
+        # two different letters: [L(0,0), L(1,0)] = L(1,0) on the k = 0 term
+        (_key((1, 0), (0, 0), (0, 0)), _key((0, 1), (0, 0), (1, 0)), {_key((1, 1), (0, 0), (1, 0)): 1}),
+        (
+            _key((0, 0), (1, 0), (0, 0)),
+            _key((1, 0), (0, 0), (1, 0)),
+            {_key((1, 0), (1, 0), (1, 0)): 1, _key((0, 0), (0, 0), (0, 0), (1, 0)): 1},
+        ),
+        # pure Weyl keys: d1^2 t1^2 - t1^2 d1^2 = 4 t1 d1 + 2, and d2, t1 commute
+        (_key((0, 0), (2, 0)), _key((2, 0), (0, 0)), {_key((1, 0), (1, 0)): 4, _key((0, 0), (0, 0)): 2}),
+        (_key((0, 0), (0, 1)), _key((1, 0), (0, 0)), {}),
+    ],
+)
+def test_bracket_pinned_keys(k1, k2, expect):
+    x, y = TensorAlg({k1: 1}), TensorAlg({k2: 1})
+    assert x.bracket(y) == TensorAlg(expect) == x * y - y * x
+    assert y.bracket(x) == -TensorAlg(expect)
