@@ -254,14 +254,6 @@ class LinComb:
             return self._scale(other)
         return NotImplemented
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = self.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented

@@ -39,13 +39,13 @@ def _check_y_index(alpha: MultiIndex) -> None:
         raise ValueError(f"index {alpha} outside the Y-element range")
 
 
+@run_memo
 def falling(i: int, lo: int, hi: int) -> Poly2:
-    """prod_(m=lo..hi) (d_i - m), the empty or reversed range being 1."""
-    out = Poly2.one()
-    var = Poly2.variable(i)
-    for m in range(lo, hi + 1):
-        out = out * (var - Poly2.const(m))
-    return out
+    """prod_(m=lo..hi) (d_i - m), the empty or reversed range being 1; built
+    from the product one factor shorter."""
+    if hi < lo:
+        return Poly2.one()
+    return falling(i, lo, hi - 1) * (Poly2.variable(i) - Poly2.const(hi))
 
 
 def g_poly(alpha: MultiIndex, beta: MultiIndex) -> Poly2:
@@ -81,9 +81,19 @@ def g0_poly(alpha: MultiIndex) -> Poly2:
     return out
 
 
+@run_memo
+def d_monomial(exp: MultiIndex) -> UEnv:
+    """d1^i d2^j, built from the next lower monomial."""
+    i, j = exp
+    if j:
+        return d_monomial((i, j - 1)) * UEnv.d2()
+    return d_monomial((i - 1, 0)) * UEnv.d1() if i else UEnv.one()
+
+
 def dpoly_to_uenv(p: Poly2) -> UEnv:
-    """Expand a polynomial in d1, d2 through the letter basis."""
-    return linear(p.items(), lambda exp: UEnv.d1() ** exp[0] * UEnv.d2() ** exp[1], UEnv._adopt)
+    """Expand a polynomial in d1, d2 through the letter basis; each monomial
+    d1^i d2^j is built once per run."""
+    return linear(p.items(), d_monomial, UEnv._adopt)
 
 
 def _beta_range(alpha: MultiIndex) -> list[MultiIndex]:

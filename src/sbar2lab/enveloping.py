@@ -14,18 +14,20 @@ the memoized normal form is confluent (the diamond test compares randomized
 rewrite schedules against it).
 
 The localized product (h1 p^m)(h2 p^n) first rewrites p^m h2 as a sum of
-head * p^k (``_partials_past_word``, whose ad steps sum the normal forms of
-P w and w P word by word), then reads each term's h1 * head straight off
-``_nf`` with exponent k + n; it builds no intermediate element. Each
-(ad p_i)^k chain stops at the binomial support of C(m_i, k): at k = m_i for
-m_i >= 0, and where the chain vanishes for m_i < 0.
+head * p^k (``_partials_past_word``), then reads each term's h1 * head
+straight off ``_nf`` with exponent k + n; it builds no intermediate element.
+The (ad p_i)^k chains are built from one-word entries: the entry for p_i h
+is the only place that sums the normal forms of P w and w P, and every ad
+step reads it, as [p_i, h p^k] = [p_i, h] p^k. Each chain stops at the
+binomial support of C(m_i, k): at k = m_i for m_i >= 0, and where the chain
+vanishes for m_i < 0.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from .base import LinComb, MultiIndex, Scalar, accumulate, gbinom, linear, qdiv, terms_str
+from .base import E1, E2, LinComb, MultiIndex, Scalar, accumulate, gbinom, linear, qdiv, terms_str
 from .lie import (
     _AD_CAP,
     D2,
@@ -204,15 +206,24 @@ def _ad_partial(i: int, x: UEnv) -> UEnv:
     )
 
 
-def _ad_chain(i: int, u: UEnv, m: int) -> list[UEnv]:
-    """(ad p_i)^k u for k = 0, 1, ... while C(m, k) can be nonzero: up to
-    k = m for m >= 0, until the chain vanishes for m < 0 (guarded)."""
-    chain = [u]
+def _ad_chain(i: int, x: dict, m: int) -> list[dict]:
+    """(ad p_i)^k x for k = 0, 1, ... while C(m, k) can be nonzero: up to
+    k = m for m >= 0, and for m < 0 until the chain vanishes, which it does
+    because each ad step lowers total degree (guarded). x is a
+    {(head, exponent): c} dict, and each step reads the one-word entries:
+    [p_i, h p^k] = [p_i, h] p^k, where [p_i, h] is the entry for p_i h
+    without its (h, e_i) term."""
+    e = E1 if i == 1 else E2
+    chain = [x]
     while m < 0 or len(chain) <= m:
-        u = _ad_partial(i, u)
-        if u.is_zero():
+        x = {}
+        for (h, k), c in chain[-1].items():
+            for (head, a), cc in _partials_past_word(e, h).items():
+                if head != h or a != e:
+                    accumulate(x, (head, (a[0] + k[0], a[1] + k[1])), c * cc)
+        if not x:
             break
-        chain.append(u)
+        chain.append(x)
         if len(chain) > _AD_CAP:
             raise NilpotencyGuardError(f"ad p{i} chain failed to terminate")
     return chain
@@ -223,19 +234,25 @@ def _partials_past_word(m: MultiIndex, word: Word) -> dict:
     """Rewrite p^m * word as sum of head * p^k, i.e. commute the constant
     fields across a head word.
 
-    Uses p_i^m u = sum_k C(m, k) (ad p_i)^k(u) p_i^(m-k), valid for negative
-    m with generalized binomials. Each chain stops at the binomial support:
-    at k = m_i for m_i >= 0, and for m_i < 0 once (ad p_i)^k(u) vanishes,
-    which it does because each ad application lowers total degree (guarded).
+    The one-word entries, m = (1, 0) and (0, 1), hold p_i * word as
+    (word, e_i) plus the split terms of [p_i, word]; they are the only
+    callers of ``_ad_partial``. Every other m uses
+    p_i^m u = sum_k C(m, k) (ad p_i)^k(u) p_i^(m-k), valid for negative m
+    with generalized binomials, on ad chains built from those entries.
     """
     out: dict = {}
-    for k1, u1 in enumerate(_ad_chain(1, UEnv({word: 1}), m[0])):
+    if m in (E1, E2):
+        out[word, m] = 1
+        for w, c in _ad_partial(1 if m == E1 else 2, UEnv({word: 1})).items():
+            head, a1, a2, sign = split_tail_partials(w)
+            accumulate(out, (head, (a1, a2)), sign * c)
+        return out
+    for k1, u1 in enumerate(_ad_chain(1, {(word, (0, 0)): 1}, m[0])):
         b1 = gbinom(m[0], k1)
         for k2, u2 in enumerate(_ad_chain(2, u1, m[1])):
             b2 = gbinom(m[1], k2)
-            for w, c in u2.terms.items():
-                head, a1, a2, sign = split_tail_partials(w)
-                accumulate(out, (head, (m[0] - k1 + a1, m[1] - k2 + a2)), sign * b1 * b2 * c)
+            for (head, a), c in u2.items():
+                accumulate(out, (head, (m[0] - k1 + a[0], m[1] - k2 + a[1])), b1 * b2 * c)
     return out
 
 
@@ -291,19 +308,23 @@ def partial_inverse(i: int, v, partial, s):
 
 
 def loc_act(x: Loc, v, partial, word_act, scalars):
-    """Left action of a localized element on a module vector: for each term,
-    the p2 then p1 powers act first (negative powers through the inverse
-    series), then the head word. ``partial(i, v)`` and ``word_act(word, v)``
+    """Left action of a localized element on a module vector: the p2 then p1
+    powers act first (negative powers through the inverse series), then the
+    head word. The powers act once per exponent: every term with that
+    exponent reads the same p^m v. ``partial(i, v)`` and ``word_act(word, v)``
     are the module's actions, and p_i acts as ``scalars[i - 1]`` plus a
     locally nilpotent part."""
+    powered: dict = {}  # exponent m -> p^m v
 
     def image(key: LocKey):
-        head, (m1, m2) = key
-        u = v
-        for i, m in ((2, m2), (1, m1)):
-            for _ in range(abs(m)):
-                u = partial(i, u) if m > 0 else partial_inverse(i, u, partial, scalars[i - 1])
-        return word_act(head, u)
+        head, exp = key
+        if exp not in powered:
+            u = v
+            for i, m in ((2, exp[1]), (1, exp[0])):
+                for _ in range(abs(m)):
+                    u = partial(i, u) if m > 0 else partial_inverse(i, u, partial, scalars[i - 1])
+            powered[exp] = u
+        return word_act(head, powered[exp])
 
     return linear(x.items(), image, v._new)
 

@@ -19,6 +19,7 @@ from .centralizer import (
     H_GENERATORS,
     _beta_range,
     centralizer_check,
+    d_monomial,
     g0_poly,
     g_poly,
     wh_action_compare,
@@ -30,7 +31,7 @@ from .centralizer import (
     y_generation_search,
     pi1,
 )
-from .enveloping import Loc, UEnv, reduce_mod_I1
+from .enveloping import Loc, reduce_mod_I1
 from .expr import eval_loc, parse_element
 from .gl2 import Gl2Poly, gl2_simple
 from .lie import (
@@ -419,7 +420,7 @@ def _suite_freeness(max_degree: int, rng) -> list:
         cap = max_degree + 2
         for m1 in range(cap + 1):
             for m2 in range(cap + 1 - m1):
-                q = reduce_mod_I1(UEnv.d1() ** m1 * UEnv.d2() ** m2)
+                q = reduce_mod_I1(d_monomial((m1, m2)))
                 span.add(dict(q.terms))
                 count += 1
         status = PASS if span.rank == count else FAIL

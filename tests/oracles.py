@@ -1,9 +1,10 @@
 """Reference routines that only the tests use: the twisted polynomial module,
-the degree-zero identification on Lie elements, and PBW normal forms of
-arbitrary letter sequences."""
+the degree-zero identification on Lie elements, PBW normal forms of
+arbitrary letter sequences, powers by repeated products, and the localized
+action term by term."""
 
 from sbar2lab.base import Poly2, as_scalar, linear
-from sbar2lab.enveloping import UEnv, _nf
+from sbar2lab.enveloping import UEnv, _nf, partial_inverse
 from sbar2lab.gl2 import Gl2Poly, pi_letter
 
 
@@ -48,3 +49,27 @@ def pi_iso(x) -> Gl2Poly:
 def pbw_normalize(seq, c=1) -> UEnv:
     """Normal form of a coefficient times an arbitrary letter sequence."""
     return UEnv(dict(_nf(tuple(seq)))) * as_scalar(c)
+
+
+def power(x, n: int):
+    """x^n by n products with x, starting from the unit."""
+    out = x.one()
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def loc_act_by_term(x, v, partial, word_act, scalars):
+    """The localized action term by term: for every term the p2 then p1
+    powers act on v afresh (negative powers through the inverse series),
+    then the head word."""
+
+    def image(key):
+        head, (m1, m2) = key
+        u = v
+        for i, m in ((2, m2), (1, m1)):
+            for _ in range(abs(m)):
+                u = partial(i, u) if m > 0 else partial_inverse(i, u, partial, scalars[i - 1])
+        return word_act(head, u)
+
+    return linear(x.items(), image, v._new)

@@ -1,14 +1,18 @@
+import contextlib
 import functools
 import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbar2lab import base, centralizer, suites
 from sbar2lab.base import Poly2
 from sbar2lab.centralizer import (
     H_GENERATORS,
     centralizer_check,
+    dpoly_to_uenv,
     g0_poly,
     g_poly,
     pi1,
@@ -24,6 +28,7 @@ from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import eval_loc, parse_element
 from sbar2lab.gl2 import Gl2Poly
 from sbar2lab.suites import run_suite
+from oracles import power
 
 Y_DISPLAYS = {
     (1, -1): "L(1,-1)*p1*p2^-1 + 2*d1",
@@ -169,3 +174,17 @@ def test_no_memo_outlives_a_run(monkeypatch):
     with pytest.raises(ZeroDivisionError):
         run_suite("pi1-compare")
     assert base._scope_memo is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3).filter(bool), max_size=4),
+    st.booleans(),
+)
+def test_dpoly_to_uenv_is_the_sum_of_powered_monomials(terms, scoped):
+    # inside a run scope the monomials are built once and shared, outside
+    # every call builds them afresh; both must give the powers' sum
+    expect = sum((power(UEnv.d1(), i) * power(UEnv.d2(), j) * c for (i, j), c in terms.items()), UEnv())
+    with base.run_scope() if scoped else contextlib.nullcontext():
+        assert dpoly_to_uenv(Poly2(terms)) == expect
+        assert dpoly_to_uenv(Poly2(terms) * 2) == expect * 2

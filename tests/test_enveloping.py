@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbar2lab import enveloping
 from sbar2lab.base import accumulate
 from sbar2lab.enveloping import (
     Loc,
@@ -13,13 +15,17 @@ from sbar2lab.enveloping import (
     _ad_partial,
     _nf,
     _partials_past_word,
+    _q1_partial,
+    _q1_word,
     q1_act,
     reduce_mod_I1,
     split_tail_partials,
 )
+from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER, letter_bracket
 from sbar2lab.linalg import EchelonSpan
-from oracles import pbw_normalize
+from sbar2lab.tmodule import act_loc, act_partial, act_word, random_seed_vector
+from oracles import loc_act_by_term, pbw_normalize, power
 
 LETTERS = [D2] + [
     L_letter((a1, a2))
@@ -178,7 +184,7 @@ def test_q1_freeness_window():
     count = 0
     for m1 in range(7):
         for m2 in range(7 - m1):
-            q = reduce_mod_I1(UEnv.d1() ** m1 * UEnv.d2() ** m2)
+            q = reduce_mod_I1(power(UEnv.d1(), m1) * power(UEnv.d2(), m2))
             assert span.add(dict(q.terms)) is not None
             count += 1
     assert span.rank == count == 28
@@ -252,3 +258,66 @@ def test_partials_past_word_is_the_prefixed_normal_form(m, word):
 def test_partials_past_word_round_trip(m, word):
     moved = Loc(_partials_past_word(m, word))
     assert Loc.partial(1, -m[0]) * Loc.partial(2, -m[1]) * moved == Loc({(word, (0, 0)): 1})
+
+
+def test_partials_past_word_cost_does_not_grow_with_the_exponent(monkeypatch):
+    # the ad chains read the one-word entries, so p^m past a word forms
+    # [p_i, h] once per head h however large |m| is
+    word = tuple(sorted(L_letter(a) for a in ((1, 1), (2, 1), (3, 0))))
+    calls = []
+    real = enveloping._ad_partial
+    monkeypatch.setattr(enveloping, "_ad_partial", lambda i, x: calls.append(i) or real(i, x))
+    counts = []
+    for m in ((50, -3), (200, -3)):
+        _partials_past_word.cache_clear()
+        calls.clear()
+        _partials_past_word(m, word)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    # p^(200,-3) word is the m = (1, 0) entry applied term by term to p^(199,-3) word
+    expect: dict = {}
+    for (h, k), c in _partials_past_word((199, -3), word).items():
+        for (head, a), cc in _partials_past_word((1, 0), h).items():
+            accumulate(expect, (head, (a[0] + k[0], a[1] + k[1])), c * cc)
+    assert _partials_past_word((200, -3), word) == expect
+
+
+# short head words, each PBW-normal because it is sorted
+ACTION_HEADS = [(), (D2,), (L_letter((0, 0)),), (L_letter((1, 0)),), (L_letter((-1, 1)),), (D2, L_letter((0, 1)))]
+
+
+@st.composite
+def shared_head_locs(draw):
+    """A localized element in which every drawn head comes with every drawn
+    exponent, at least one exponent negative, so terms share heads across
+    exponents."""
+    heads = draw(st.lists(st.sampled_from(ACTION_HEADS), min_size=1, max_size=2, unique=True))
+    exps = draw(
+        st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=2, max_size=3, unique=True).filter(
+            lambda ms: any(min(m) < 0 for m in ms)
+        )
+    )
+    keys = list(itertools.product(heads, exps))
+    cs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(keys), max_size=len(keys)))
+    return Loc(dict(zip(keys, cs)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_head_locs(), st.lists(st.tuples(st.sampled_from(ACTION_HEADS), st.integers(-3, 3)), min_size=1, max_size=3))
+def test_q1_act_matches_the_term_by_term_oracle(x, vector_terms):
+    # type (1, 1): both constant fields act as 1 plus a nilpotent part
+    v = Q1(vector_terms)
+    assert q1_act(x, v) == loc_act_by_term(x, v, _q1_partial, _q1_word, (1, 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shared_head_locs(),
+    st.sampled_from([(1, 1), (2, -1), (-1, 3)]),
+    st.sampled_from([(0, 0), (1, 0)]),
+    st.integers(0, 2**16),
+)
+def test_act_loc_matches_the_term_by_term_oracle(x, a, lam, seed):
+    # a nonsingular type, so every negative power acts
+    v = random_seed_vector(gl2_simple(lam), a, random.Random(seed))
+    assert act_loc(x, v) == loc_act_by_term(x, v, act_partial, act_word, a)

@@ -247,6 +247,14 @@ def test_weyl_reordering_sum_is_written_out_once():
     assert inside and sites == [node.lineno for node in inside]
 
 
+def test_ad_partial_is_called_only_by_the_one_word_entries():
+    # every ad chain reads the cached entries for p_i * word, so the
+    # enveloping-algebra commutator is formed once per (i, word) and process
+    inside = _calls(_function("enveloping.py", "_partials_past_word"), "_ad_partial")
+    sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "_ad_partial")]
+    assert inside and sites == [("enveloping.py", node.lineno) for node in inside]
+
+
 MEMO_DECORATORS = {"cache", "lru_cache"}
 
 
