@@ -68,9 +68,11 @@ def run_memo(fn):
     def wrapper(*args):
         if _scope_memo is None:
             return fn(*args)
-        if (fn, args) not in _scope_memo:
-            _scope_memo[fn, args] = fn(*args)
-        return _scope_memo[fn, args]
+        try:
+            return _scope_memo[fn, args]
+        except KeyError:
+            result = _scope_memo[fn, args] = fn(*args)
+            return result
 
     return wrapper
 

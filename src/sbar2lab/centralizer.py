@@ -128,6 +128,7 @@ def y_element(alpha: MultiIndex) -> Loc:
     return Loc(out)
 
 
+@run_memo
 def xi_y(alpha: MultiIndex) -> UEnv:
     """Y_a with its trailing p-exponents deleted."""
     return linear(y_element(alpha).items(), lambda key: {key[0]: 1}, UEnv._adopt)

@@ -86,6 +86,13 @@ class Gl2Module:
         mat = self.E[ij]
         return [(r, mat[r][k]) for r in range(self.dim) if mat[r][k]]
 
+    # equal highest weights give one module, so they share run-memoized work
+    def __eq__(self, other):
+        return type(other) is type(self) and self.lam == other.lam
+
+    def __hash__(self):
+        return hash(self.lam)
+
     def __repr__(self):
         return f"Gl2Module(lam={self.lam}, dim={self.dim})"
 

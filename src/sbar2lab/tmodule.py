@@ -15,10 +15,11 @@ identification of ``gl2``. Read off phi and the pi table, that is
 where the polynomial factor is acted on with d/dt_i shifted by a_i. Whenever
 one of the exponent shifts leaves Z_+^2 its scalar prefactor vanishes, so the
 displayed formula needs no boundary cases. The constant fields are letters
-too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T, so ``act_letter`` is the
-only place the action is written out. ``BasisImages`` memoizes the images of
-basis keys for one check or one search, never at module level; the action is
-linear, so they determine every letter product on every vector.
+too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T. Each letter's action is
+compiled once per run (``base.run_memo``) against its module and type vector,
+and ``_act_terms`` is the one loop applying it: ``act_letter`` on a vector,
+``BasisImages`` on basis keys, whose images it keeps for one check or one
+search; the action is linear, so they determine every letter product.
 Degree-lowering operators act exactly; the closure probe closes a span over
 its own rows inside a degree window and reports dimensions only where the
 cap cannot have discarded contributions.
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .base import (
-    E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, terms_str,
+    E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, run_memo, terms_str,
 )
 from .enveloping import Loc, Word, loc_act
 from .gl2 import Gl2Module, pi_letter
@@ -68,14 +69,10 @@ class TVector(LinComb):
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            self.terms == other.terms
-            and self.a == other.a
-            and self.module.lam == other.module.lam
-        )
+        return (self.terms, self.a, self.module) == (other.terms, other.a, other.module)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.a, self.module.lam))
+        return hash((frozenset(self.terms.items()), self.a, self.module))
 
     def degree(self) -> int:
         if not self.terms:
@@ -91,17 +88,10 @@ class TVector(LinComb):
         return terms_str((body(*key), self.terms[key]) for key in order)
 
 
-# recipe: letter -> (field part [(gamma, i, coeff)], gl part [(shift, (i,j), coeff)])
-_RECIPES: dict[Letter, tuple] = {}
-
-
 def _letter_recipe(letter: Letter):
     """Read the recipe off phi(letter): a Weyl term t^gamma d_i x 1 is a field
     entry, and a residual t^r x L is one gl entry per term of pi(L), so a
     positive-degree residual gives none."""
-    rec = _RECIPES.get(letter)
-    if rec is not None:
-        return rec
     fields, gl = [], []
     for ((gamma, d_exp), word), c in phi_letter(letter).items():
         if word:
@@ -109,39 +99,60 @@ def _letter_recipe(letter: Letter):
             gl.extend((gamma, ij, c * g) for (ij,), g in pi_letter(residual).items())
         else:
             fields.append((gamma, 1 if d_exp[0] else 2, c))
-    _RECIPES[letter] = (fields, gl)
     return fields, gl
 
 
-def act_letter(letter: Letter, w: TVector) -> TVector:
+@run_memo
+def _letter_kernel(letter: Letter, module: Gl2Module, a) -> tuple:
+    """The letter's action on T(a, V), compiled from its recipe once per run:
+    derivative entries (i, gamma - e_i, f), each scaled by beta_i, and per
+    weight index k the merged constant entries (shift, kk, coeff) of the twist
+    and gl parts, stored flat in lists, four numbers an entry. A dropped kernel
+    then frees its memory instead of parking tuples on the free lists."""
     fields, gl = _letter_recipe(letter)
-    a = w.a
-    out: dict = {}
-    for (beta, k), c in w.terms.items():
+    derivs = [x for gamma, i, f in fields for x in (i - 1, *msub(gamma, E1 if i == 1 else E2), f)]
+    consts = []
+    for k in range(module.dim):
+        merged: dict = {}
         for gamma, i, f in fields:
-            e = beta[i - 1]
-            if e:
-                accumulate(out, (madd(msub(beta, E1 if i == 1 else E2), gamma), k), c * f * e)
-            ai = a[i - 1]
-            if ai:
-                accumulate(out, (madd(beta, gamma), k), c * f * ai)
+            accumulate(merged, (*gamma, k), f * a[i - 1])
         for shift, ij, g in gl:
-            exp = madd(beta, shift)
-            for kk, m in w.module.column(ij, k):
-                accumulate(out, (exp, kk), c * g * m)
-    return w._new(out)
+            for kk, m in module.column(ij, k):
+                accumulate(merged, (*shift, kk), g * m)
+        consts.append([x for key, c in merged.items() for x in (*key, as_scalar(c))])
+    return derivs, tuple(consts)
+
+
+def _act_terms(kernel: tuple, terms: dict) -> dict:
+    """The terms of a compiled letter applied to the combination ``terms``."""
+    derivs, consts = kernel
+    out: dict = {}
+    for ((b1, b2), k), c in terms.items():
+        it = iter(derivs)
+        for i, s1, s2, f in zip(it, it, it, it):
+            e = b2 if i else b1
+            if e:
+                accumulate(out, ((b1 + s1, b2 + s2), k), c * f * e)
+        it = iter(consts[k])
+        for s1, s2, kk, g in zip(it, it, it, it):
+            accumulate(out, ((b1 + s1, b2 + s2), kk), c * g)
+    return out
+
+
+def act_letter(letter: Letter, w: TVector) -> TVector:
+    return w._new(_act_terms(_letter_kernel(letter, w.module, w.a), w.terms))
 
 
 class BasisImages:
-    """``act_letter`` images of basis keys on T(a, V) for one module and type
-    vector, memoized for the lifetime of one check or one search in one
-    table per letter."""
+    """Letter images of basis keys on T(a, V) for one module and type vector,
+    memoized for the lifetime of one check or one search in one table per
+    letter."""
 
     __slots__ = ("module", "a", "_tables")
 
     def __init__(self, module: Gl2Module, a):
         self.module = module
-        self.a = a
+        self.a = (as_scalar(a[0]), as_scalar(a[1]))
         self._tables: defaultdict = defaultdict(dict)  # letter -> {key: terms}
 
     def image(self, letter: Letter, key: TKey) -> dict:
@@ -149,17 +160,20 @@ class BasisImages:
         table = self._tables[letter]
         res = table.get(key)
         if res is None:
-            res = table[key] = act_letter(letter, TVector({key: 1}, a=self.a, module=self.module)).terms
+            res = table[key] = _act_terms(_letter_kernel(letter, self.module, self.a), {key: 1})
         return res
 
     def pairs_on(self, terms, key: TKey) -> dict:
         """sum of coeff * L_first L_second e_key over ``(first, second, coeff)``
         triples, as in ``sigma_terms``: the inner image, then the outer one,
-        looked up in the outer letter's table, fetched once per triple."""
+        each looked up in its letter's table, fetched once per triple."""
         total: dict = {}
         for first, second, coeff in terms:
             outer = self._tables[first]
-            for k1, c1 in self.image(second, key).items():
+            inner = self._tables[second].get(key)
+            if inner is None:
+                inner = self.image(second, key)
+            for k1, c1 in inner.items():
                 f = coeff * c1
                 img = outer.get(k1)
                 if img is None:

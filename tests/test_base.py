@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.base import LinComb, Poly2, as_scalar, bilinear, binom2, comb0, gbinom, linear, qdiv
+from sbar2lab import base
+from sbar2lab.base import LinComb, Poly2, as_scalar, bilinear, binom2, comb0, gbinom, linear, qdiv, run_memo, run_scope
 
 
 def p(terms):
@@ -152,3 +153,26 @@ def test_results_never_share_terms_with_an_operand():
     for r in results:
         assert all(r.terms is not o.terms for o in operands)
     assert x.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)} and y.terms == {(1, 0): -2, (0, 0): 1}
+
+
+def test_run_memo_keeps_results_only_inside_a_scope():
+    # a hit is one dict lookup; a miss, also one whose function raises
+    # KeyError, stores nothing until the function has returned
+    calls = []
+
+    @run_memo
+    def f(x):
+        calls.append(x)
+        if x < 0:
+            raise KeyError(x)
+        return [x] if x else None
+
+    with run_scope():
+        assert f(1) is f(1) and f(0) is None and f(0) is None
+        with pytest.raises(KeyError):
+            f(-1)
+        with pytest.raises(KeyError):
+            f(-1)
+        assert calls == [1, 0, -1, -1]
+    assert base._scope_memo is None
+    assert f(1) is not f(1) and calls[-2:] == [1, 1]

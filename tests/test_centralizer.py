@@ -157,6 +157,16 @@ def test_each_y_is_built_once_per_run(monkeypatch, args, count):
     assert len(builds) == len(set(builds)) == count
 
 
+@pytest.mark.parametrize("args,count", [(("pi1-compare",), 4), (("xi-whittaker", 3), 17)])
+def test_each_xi_y_is_built_once_per_run(monkeypatch, args, count):
+    # pi1 and both xi-whittaker checks read xi(Y_a) from the run memo
+    builds = []
+    build = centralizer.xi_y.__wrapped__
+    monkeypatch.setattr(centralizer, "xi_y", base.run_memo(lambda alpha: builds.append(alpha) or build(alpha)))
+    assert run_suite(*args).failures == 0
+    assert len(builds) == len(set(builds)) == count
+
+
 def test_no_memo_outlives_a_run(monkeypatch):
     builds = _count_y_builds(monkeypatch)
     run_suite("pi1-compare")

@@ -183,12 +183,18 @@ def test_linalg_has_one_elimination_routine():
 
 
 def test_module_action_is_written_out_once():
-    # act_letter is the only place a gl_2 matrix column acts on a tensor
-    # vector, and the sigma suite takes its letters and coefficients from
-    # sigma_terms instead of doing the index arithmetic itself
+    # the kernel builder is the only place a gl_2 matrix column enters the
+    # action on a tensor vector, and _act_terms is the only loop applying a
+    # compiled kernel: act_letter and BasisImages both go through it. The
+    # sigma suite takes its letters and coefficients from sigma_terms instead
+    # of doing the index arithmetic itself
     sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "column")]
-    inside = [("tmodule.py", node.lineno) for node in _calls(_function("tmodule.py", "act_letter"), "column")]
+    inside = [("tmodule.py", node.lineno) for node in _calls(_function("tmodule.py", "_letter_kernel"), "column")]
     assert sites and sites == inside, sites
+    kernels = sorted((name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "_letter_kernel"))
+    appliers = [_function("tmodule.py", "act_letter"), _method("tmodule.py", "BasisImages", "image")]
+    assert kernels == sorted(("tmodule.py", node.lineno) for tree in appliers for node in _calls(tree, "_letter_kernel"))
+    assert all(_calls(tree, "_act_terms") for tree in appliers)
     sigma = _function("suites.py", "_suite_sigma")
     assert [node.lineno for name in ("L_letter", "comb0") for node in _calls(sigma, name)] == []
 
@@ -299,6 +305,33 @@ def test_only_the_normal_form_engines_are_memoized_for_the_process():
     planted = "import functools\n\n@functools.lru_cache(None)\ndef f(x):\n    return x\n\ng = functools.cache(f)\n"
     tree = ast.parse(planted)
     assert _memoized_functions(tree) == [("f", 3)] and _memo_references(tree) == [3, 7]
+
+
+def _module_level_stores(tree) -> list:
+    """Lines of module-level assignments of a dict, list or set, as a literal,
+    a comprehension or a constructor call."""
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    constructors = {"dict", "list", "set", "defaultdict", "OrderedDict"}
+    return [
+        node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and node.value is not None
+        and (
+            isinstance(node.value, containers)
+            or (isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) in constructors)
+        )
+    ]
+
+
+def test_tmodule_keeps_no_module_level_memo():
+    # the compiled letter actions live in the run scope (base.run_memo) and
+    # BasisImages' tables in their check; a module-level dict, list or @cache
+    # in tmodule would outlive the run and grow with every letter ever used
+    tree = MODULES["tmodule.py"]
+    assert _module_level_stores(tree) == [] and _memo_references(tree) == []
+    planted = "_RECIPES: dict = {}\nSEEN = []\nT = defaultdict(dict)\nK = tuple[int, int]\n"
+    assert _module_level_stores(ast.parse(planted)) == [1, 2, 3]
 
 
 def test_import_leaves_dataclasses_out():

@@ -1,13 +1,14 @@
+import contextlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sbar2lab import suites, tmodule
-from sbar2lab.base import E2, Poly2, accumulate, madd
+from sbar2lab import base, suites, tmodule
+from sbar2lab.base import E2, Poly2, accumulate, madd, run_scope
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.gl2 import gl2_simple, mat_identity, mat_mul, pi_letter
 from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, sbar_bracket
@@ -18,6 +19,7 @@ from sbar2lab.tmodule import (
     BasisImages,
     SigmaOp,
     TVector,
+    _letter_kernel,
     _letter_recipe,
     act_letter,
     act_loc,
@@ -37,6 +39,19 @@ from oracles import A2aVector, a2a_act
 
 def basis(module, a, beta, k):
     return TVector.basis(module, a, beta, k)
+
+
+@pytest.fixture
+def scoped():
+    # a suite run compiles each letter's action once (base.run_scope);
+    # outside a scope every act_letter call compiles its letter afresh
+    with run_scope():
+        yield
+
+
+# the scope is shared by all examples of a property on purpose: a kernel
+# depends only on its letter, module and type vector
+SCOPED_PROPERTY = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 def test_action_examples():
@@ -82,7 +97,8 @@ def tensor_vectors(draw):
     return TVector(terms, a=a, module=module)
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.usefixtures("scoped")
+@SCOPED_PROPERTY
 @given(tensor_vectors(), st.sampled_from([1, 2]))
 def test_partial_is_the_shifted_derivative(w, i):
     # oracle: on each weight component p x v_k, d/dt_i acts by p -> dp/dt_i + a_i p
@@ -94,7 +110,8 @@ def test_partial_is_the_shifted_derivative(w, i):
     assert act_partial(i, w) == TVector(expect, a=w.a, module=w.module)
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.usefixtures("scoped")
+@SCOPED_PROPERTY
 @given(tensor_vectors(), st.sampled_from(_letters(2)))
 def test_act_letter_is_linear(w, letter):
     # BasisImages rests on this: the images of basis keys determine the
@@ -116,6 +133,7 @@ def test_localized_action_inverts():
         act_loc(Loc.partial(1, -1), singular)
 
 
+@pytest.mark.usefixtures("scoped")
 def test_module_axiom_window():
     letters = [D2] + [
         L_letter((a1, a2))
@@ -162,12 +180,50 @@ def act_tensoralg(el, w: TVector) -> TVector:
     return TVector(out, a=w.a, module=module)
 
 
-@settings(max_examples=200, deadline=None)
+@pytest.mark.usefixtures("scoped")
+@SCOPED_PROPERTY
 @given(tensor_vectors(), st.sampled_from(_letters(2)))
 def test_display_matches_generator_images(w, letter):
     # act_letter runs on recipes read off phi; the oracle acts with the
     # generator image phi(letter) itself
     assert act_letter(letter, w) == act_tensoralg(phi_letter(letter), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(0, 0), (1, 0), (2, 0), (3, 1)]),
+    st.sampled_from([(0, 0), (1, 0), (Fraction(1, 2), -3)]),
+    st.sampled_from(_letters(3)),
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_basis_images_and_act_letter_apply_one_kernel(lam, a, letter, beta, k, in_scope):
+    # BasisImages applies a letter's compiled kernel to a basis key directly,
+    # act_letter to a vector; both are the action of phi(letter), inside a run
+    # scope (one kernel per letter, module and type vector) and outside one
+    # (a kernel compiled per call)
+    module = gl2_simple(lam)
+    key = (beta, k % module.dim)
+    w = TVector({key: 1}, a=a, module=module)
+    with run_scope() if in_scope else contextlib.nullcontext():
+        image = BasisImages(module, a).image(letter, key)
+        assert image == act_letter(letter, w).terms == act_tensoralg(phi_letter(letter), w).terms
+    # the images skip LinComb's coercion, so their scalars must be canonical
+    assert all(type(c) is int or c.denominator != 1 for c in image.values())
+
+
+def test_equal_weights_share_one_kernel_per_run():
+    letter, a = D2, (1, Fraction(1, 2))  # d2 acts through E22, which sees lam2
+    with run_scope():
+        inside = _letter_kernel(letter, gl2_simple((2, 0)), a)
+        assert _letter_kernel(letter, gl2_simple((2, 0)), a) is inside
+        assert _letter_kernel(letter, gl2_simple((3, 1)), a) != inside
+    # the scope took its kernels with it: outside one, every call compiles
+    assert base._scope_memo is None
+    outside = _letter_kernel(letter, gl2_simple((2, 0)), a)
+    assert outside == inside and outside is not inside
+    assert _letter_kernel(letter, gl2_simple((2, 0)), a) is not outside
 
 
 def displayed_recipe(letter):
@@ -272,6 +328,7 @@ def test_sigma_examples():
         SigmaOp(1, 3, (0, 0), (0, 0))
 
 
+@pytest.mark.usefixtures("scoped")
 def test_sigma_suite_dict_path_matches_sigma_act():
     # The sigma-annihilation suite does not call sigma_act: it sums the
     # sigma_terms of an operator on a basis key through BasisImages.pairs_on
@@ -294,6 +351,7 @@ def test_sigma_suite_dict_path_matches_sigma_act():
         assert nonzero > 100  # the comparison is not between zeros
 
 
+@pytest.mark.usefixtures("scoped")
 def test_axiom_pairs_match_the_nested_action():
     # The action-axioms suite sums x(y e_key) - y(x e_key) through
     # BasisImages.pairs_on; compared here with nested act_letter calls.
@@ -401,6 +459,7 @@ def test_closure_probe_reads_module_and_type_from_the_seed():
         assert closure_probe(seed, 5, 2)["table"] == table
 
 
+@pytest.mark.usefixtures("scoped")
 @pytest.mark.parametrize("cap", [11, 12])
 def test_closure_fills_the_simple_cases_at_pushed_caps(cap):
     # the probe closes over its own rows; closing over the raw orbit alone
@@ -415,6 +474,7 @@ def test_closure_fills_the_simple_cases_at_pushed_caps(cap):
             assert status == PASS, (cap, seed, witness)
 
 
+@pytest.mark.usefixtures("scoped")
 def test_closure_reducible_table_is_monotone_in_the_cap():
     m = gl2_simple((1, 0))
     seed = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (0, 0), 1)
