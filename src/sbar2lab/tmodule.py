@@ -19,7 +19,8 @@ too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T. Each letter's action is
 compiled once per run (``base.run_memo``) against its module and type vector,
 and ``_act_terms`` is the one loop applying it: ``act_letter`` on a vector,
 ``BasisImages`` on basis keys, whose images it keeps for one check or one
-search; the action is linear, so they determine every letter product.
+search under small int key ids; the action is linear, so they determine
+every letter product, and ``pairs_on`` sums those products over the ids.
 Degree-lowering operators act exactly; the closure probe closes a span over
 its own rows inside a degree window and reports dimensions only where the
 cap cannot have discarded contributions.
@@ -146,41 +147,62 @@ def act_letter(letter: Letter, w: TVector) -> TVector:
 class BasisImages:
     """Letter images of basis keys on T(a, V) for one module and type vector,
     memoized for the lifetime of one check or one search in one table per
-    letter."""
+    letter. Every basis key reached gets a small int id, so a table maps a
+    key id to its image as a tuple of ``(key id, coeff)`` pairs, and the
+    products summed in ``pairs_on`` hash ints instead of nested key tuples."""
 
-    __slots__ = ("module", "a", "_tables")
+    __slots__ = ("module", "a", "_tables", "_ids", "_keys")
 
     def __init__(self, module: Gl2Module, a):
         self.module = module
         self.a = (as_scalar(a[0]), as_scalar(a[1]))
-        self._tables: defaultdict = defaultdict(dict)  # letter -> {key: terms}
+        self._tables: defaultdict = defaultdict(dict)  # letter -> {key id: ((key id, coeff), ...)}
+        self._ids: dict = {}  # key -> key id
+        self._keys: list = []  # key id -> key
 
-    def image(self, letter: Letter, key: TKey) -> dict:
-        """The terms of ``act_letter(letter, e_key)``; read, do not mutate."""
-        table = self._tables[letter]
-        res = table.get(key)
-        if res is None:
-            res = table[key] = _act_terms(_letter_kernel(letter, self.module, self.a), {key: 1})
+    def _id(self, key: TKey) -> int:
+        kid = self._ids.get(key)
+        if kid is None:
+            kid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
+        return kid
+
+    def image(self, letter: Letter, key: TKey) -> tuple:
+        """Compute and store the table entry of ``letter`` at ``key``: the
+        terms of ``act_letter(letter, e_key)`` as ``(key id, coeff)`` pairs."""
+        terms = _act_terms(_letter_kernel(letter, self.module, self.a), {key: 1})
+        res = self._tables[letter][self._id(key)] = tuple((self._id(k), c) for k, c in terms.items())
         return res
 
     def pairs_on(self, terms, key: TKey) -> dict:
         """sum of coeff * L_first L_second e_key over ``(first, second, coeff)``
-        triples, as in ``sigma_terms``: the inner image, then the outer one,
-        each looked up in its letter's table, fetched once per triple."""
+        triples, as in ``sigma_terms``, with a ``None`` first letter adding
+        coeff * L_second e_key: the inner image, then the outer one, each read
+        from its letter's table and computed there on a miss. The sum runs
+        over key ids and is translated back to keys only when it is nonzero."""
+        tables = self._tables
+        kid = self._id(key)
         total: dict = {}
         for first, second, coeff in terms:
-            outer = self._tables[first]
-            inner = self._tables[second].get(key)
+            inner = tables[second].get(kid)
             if inner is None:
                 inner = self.image(second, key)
-            for k1, c1 in inner.items():
+            if first is None:
+                for k1, c1 in inner:
+                    accumulate(total, k1, coeff * c1)
+                continue
+            outer = tables[first]
+            for k1, c1 in inner:
                 f = coeff * c1
                 img = outer.get(k1)
                 if img is None:
-                    img = self.image(first, k1)
-                for k2, c2 in img.items():
+                    img = self.image(first, self._keys[k1])
+                for k2, c2 in img:
                     accumulate(total, k2, f * c2)
-        return total
+        if not total:
+            return total
+        keys = self._keys
+        return {keys[k]: c for k, c in total.items()}
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbar2lab import lie
 from sbar2lab.base import Poly2
@@ -84,6 +86,25 @@ def test_jacobi_window():
             + sbar_bracket(sz, sbar_bracket(sx, sy))
         )
         assert total.is_zero()
+
+
+SBAR_ELEMENTS = st.dictionaries(
+    st.sampled_from(letters_up_to(2)),
+    st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    max_size=4,
+).map(Sbar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SBAR_ELEMENTS, SBAR_ELEMENTS, SBAR_ELEMENTS)
+def test_jacobi_on_random_combinations(x, y, z):
+    # the jacobi suite checks trios of letters; bilinearity carries the
+    # identity to combinations, on the structure constants and on the fields
+    fx, fy, fz = (sbar_to_vf(e) for e in (x, y, z))
+    for bracket, (p, q, r) in ((sbar_bracket, (x, y, z)), (vf_bracket, (fx, fy, fz))):
+        total = bracket(p, bracket(q, r)) + bracket(q, bracket(r, p)) + bracket(r, bracket(p, q))
+        assert total.is_zero(), bracket.__name__
+    assert sbar_to_vf(sbar_bracket(x, sbar_bracket(y, z))) == vf_bracket(fx, vf_bracket(fy, fz))
 
 
 def _flip_one(monkeypatch, name, k1, k2):

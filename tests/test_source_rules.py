@@ -201,11 +201,33 @@ def test_module_action_is_written_out_once():
 
 def test_suites_evaluate_letter_products_through_basis_images():
     # action-axioms and the sigma search read letter images of basis keys
-    # from one BasisImages per case or search instead of acting again
+    # from one BasisImages per case or search instead of acting again, and
+    # sum every product, the bracket's singles included, in one pairs_on call
     suites = [_function("suites.py", name) for name in ("_suite_action_axioms", "_suite_sigma")]
-    sites = [node.lineno for tree in suites for name in ("act_letter", "act_sbar") for node in _calls(tree, name)]
+    sites = [node.lineno for tree in suites for name in ("act_letter", "act_sbar", "image") for node in _calls(tree, name)]
     assert sites == []
-    assert all(_calls(tree, "BasisImages") for tree in suites)
+    assert all(_calls(tree, "BasisImages") and _calls(tree, "pairs_on") for tree in suites)
+
+
+def _names(tree, names) -> list:
+    """Nodes naming one of ``names``, as a variable or as an attribute."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names) or (isinstance(node, ast.Attribute) and node.attr in names)
+    ]
+
+
+def test_key_ids_stay_inside_basis_images():
+    # the int key ids are BasisImages' own: its tables hold them and
+    # pairs_on translates its sum back to keys, so no caller sees one
+    (klass,) = [n for n in MODULES["tmodule.py"].body if isinstance(n, ast.ClassDef) and n.name == "BasisImages"]
+    inside = {id(node) for node in ast.walk(klass)}
+    ids = ("_ids", "_keys")
+    sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _names(tree, ids) if id(node) not in inside]
+    assert sites == [] and _names(klass, ids)
+    planted = "def f(images):\n    return images._keys[0]\n"
+    assert [node.lineno for node in _names(ast.parse(planted), ids)] == [2]
 
 
 def _is_self_sum(node) -> bool:

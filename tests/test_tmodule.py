@@ -202,15 +202,19 @@ def test_basis_images_and_act_letter_apply_one_kernel(lam, a, letter, beta, k, i
     # BasisImages applies a letter's compiled kernel to a basis key directly,
     # act_letter to a vector; both are the action of phi(letter), inside a run
     # scope (one kernel per letter, module and type vector) and outside one
-    # (a kernel compiled per call)
+    # (a kernel compiled per call). A (None, letter, 1) single reads the
+    # image back through pairs_on, keyed by basis keys again.
     module = gl2_simple(lam)
     key = (beta, k % module.dim)
     w = TVector({key: 1}, a=a, module=module)
     with run_scope() if in_scope else contextlib.nullcontext():
-        image = BasisImages(module, a).image(letter, key)
-        assert image == act_letter(letter, w).terms == act_tensoralg(phi_letter(letter), w).terms
+        images = BasisImages(module, a)
+        image = images.image(letter, key)
+        got = images.pairs_on(((None, letter, 1),), key)
+        assert got == act_letter(letter, w).terms == act_tensoralg(phi_letter(letter), w).terms
+    assert len(image) == len(got)
     # the images skip LinComb's coercion, so their scalars must be canonical
-    assert all(type(c) is int or c.denominator != 1 for c in image.values())
+    assert all(type(c) is int or c.denominator != 1 for _, c in image)
 
 
 def test_equal_weights_share_one_kernel_per_run():
@@ -377,6 +381,65 @@ def test_action_axioms_fail_under_a_negated_bracket(monkeypatch):
     report = run_suite("action-axioms", 0)
     assert len(report.cases) == 9
     assert all(case.status == FAIL for case in report.cases)
+
+
+def test_sigma_search_fails_under_one_bumped_coefficient(monkeypatch):
+    # negative control: with one coefficient of every operator off by one,
+    # the search must not reach the order the golden report records (3); a
+    # pairs_on that always returned {} would pass it with order 0
+    real = suites.sigma_terms
+
+    def bumped(op):
+        terms = real(op)
+        if terms:
+            first, second, coeff = terms[0]
+            terms[0] = (first, second, coeff + 1)
+        return terms
+
+    def search():
+        return next(c for c in run_suite("sigma-annihilation", 2).cases if c.name == "sigma-minimal-annihilator")
+
+    assert search().witness["minimal_m"] == 3
+    monkeypatch.setattr(suites, "sigma_terms", bumped)
+    case = search()
+    assert not (case.status == PASS and case.witness["minimal_m"] == 3), case.witness
+
+
+TYPE_SCALARS = st.one_of(st.just(0), SMALL_SCALARS)
+TRIPLES = st.lists(
+    st.tuples(st.one_of(st.none(), st.sampled_from(_letters(2))), st.sampled_from(_letters(2)), SMALL_SCALARS),
+    max_size=5,
+)
+
+
+@pytest.mark.usefixtures("scoped")
+@settings(SCOPED_PROPERTY, max_examples=100)
+@given(
+    st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 0), (3, 1)]),
+    st.tuples(TYPE_SCALARS, TYPE_SCALARS),
+    st.lists(st.tuples(TRIPLES, st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(0, 3)), min_size=1, max_size=6),
+)
+def test_pairs_on_is_the_nested_action_sum(lam, a, queries):
+    # every query runs on one BasisImages, so later ones read the key ids
+    # and table entries earlier ones stored; each query is also run with its
+    # negated copy appended, whose sum is zero and must come back as {}
+    module = gl2_simple(lam)
+    images = BasisImages(module, a)
+    for triples, beta, k in queries:
+        triples = triples + triples[:1]  # a repeated (first, second) pair
+        key = (beta, k % module.dim)
+        w = TVector({key: 1}, a=a, module=module)
+        expect = TVector(a=a, module=module)
+        for first, second, coeff in triples:
+            v = act_letter(second, w)
+            expect = expect + (v if first is None else act_letter(first, v)) * coeff
+        got = images.pairs_on(triples, key)
+        assert got == expect.terms, (triples, key)
+        cancelled = images.pairs_on(triples + [(f, s, -c) for f, s, c in triples], key)
+        assert cancelled == {}
+    for table in images._tables.values():
+        for entry in table.values():
+            assert all(type(c) is int or c.denominator != 1 for _, c in entry)
 
 
 def test_closure_probe_profiles():
