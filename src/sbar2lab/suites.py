@@ -56,7 +56,6 @@ from .tmodule import (
     BasisImages,
     SigmaOp,
     TVector,
-    act_sbar,
     closure_probe,
     joint_kernel,
     random_seed_vector,
@@ -278,11 +277,7 @@ def _suite_twist(max_degree: int, rng) -> list:
         images = [
             vf_to_sbar(unipotent_twist(-1, VectorField.partial(i))) for i in (1, 2)
         ]
-        ops = [
-            (lambda v, s=s: act_sbar(s, v), 1)
-            for s in images
-        ]
-        kernel = joint_kernel(module, a, max(2, max_degree), ops)
+        kernel = joint_kernel(module, a, max(2, max_degree), [(s, 1) for s in images])
         if len(kernel) == module.dim:
             return PASS, {"dim": len(kernel)}
         return FAIL, {"dim": len(kernel), "expected": module.dim}

@@ -21,6 +21,9 @@ and ``_act_terms`` is the one loop applying it: ``act_letter`` on a vector,
 ``BasisImages`` on basis keys, whose images it keeps for one check or one
 search under small int key ids; the action is linear, so they determine
 every letter product, and ``pairs_on`` sums those products over the ids.
+The rank probes (``closure_probe``, ``joint_kernel``, ``uh_freeness_check``)
+fetch their letters' kernels once per call and apply them with
+``_act_terms`` on plain term dicts, which go straight into ``EchelonSpan``.
 Degree-lowering operators act exactly; the closure probe closes a span over
 its own rows inside a degree window and reports dimensions only where the
 cap cannot have discarded contributions.
@@ -202,7 +205,7 @@ class BasisImages:
         if not total:
             return total
         keys = self._keys
-        return {keys[k]: c for k, c in total.items()}
+        return {keys[k]: as_scalar(c) for k, c in total.items()}
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:
@@ -258,30 +261,34 @@ def slice_keys(module: Gl2Module, degree: int) -> list[TKey]:
 
 
 def whittaker_space(module: Gl2Module, a, degree: int) -> list[TVector]:
-    """Exact joint kernel of the shifted operators x - a_i on the degree
-    slice; the slice is operator-stable, so the answer is exact for every
-    truncation degree."""
-    ops = [lambda v: act_partial(1, v), lambda v: act_partial(2, v)]
+    """Exact joint kernel of the shifted operators d/dt_i - a_i on the degree
+    slice, as ``(Sbar, scalar)`` ops: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1).
+    The slice is operator-stable, so the answer is exact for every truncation
+    degree."""
+    ops = [Sbar({P1_LETTER: 1}), Sbar({P2_LETTER: -1})]
     return joint_kernel(module, a, degree, list(zip(ops, a)))
 
 
 def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
-    """Basis of the common kernel of (op - scalar) pairs on the degree slice.
+    """Basis of the common kernel of x - scalar on the degree slice, over the
+    ``(x, scalar)`` pairs of ``ops`` with x an ``Sbar``.
 
-    Each op must map the slice into itself (degree-nonincreasing).
+    Each x must map the slice into itself (degree-nonincreasing).
     """
+    a = (as_scalar(a[0]), as_scalar(a[1]))
     keys = slice_keys(module, degree)
     index = {key: pos for pos, key in enumerate(keys)}
     rows: list[dict] = []
-    for op, scalar in ops:
-        block: dict = {}  # output position -> sparse row {column: value}
-        for j, key in enumerate(keys):
-            coords = dict(op(TVector({key: 1}, a=a, module=module)).terms)
-            accumulate(coords, key, -scalar)
-            for out_key, c in coords.items():
-                if out_key not in index:
-                    raise ValueError("operator left the degree slice")
-                block.setdefault(index[out_key], {})[j] = c
+    for x, scalar in ops:
+        # output position -> sparse row {column: value}, summed letter by letter
+        block = {j: {j: -scalar} for j in range(len(keys))} if scalar else {}
+        for letter, c in x.items():
+            kernel = _letter_kernel(letter, module, a)
+            for j, key in enumerate(keys):
+                for out_key, v in _act_terms(kernel, {key: c}).items():
+                    if out_key not in index:
+                        raise ValueError("operator left the degree slice")
+                    accumulate(block.setdefault(index[out_key], {}), j, v)
         rows.extend(block.values())
     return [
         TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module)
@@ -297,16 +304,18 @@ def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
     a = (as_scalar(a[0]), as_scalar(a[1]))
     if not (a[0] and a[1]):
         raise ValueError("freeness check needs a nonsingular type vector")
+    d2 = _letter_kernel(D2, module, a)
+    d1 = [(_letter_kernel(L_letter((0, 0)), module, a), 1), (d2, 1)]
     span = EchelonSpan()
     for k in range(module.dim):
-        d2_power = TVector.basis(module, a, (0, 0), k)
+        d2_power = {((0, 0), k): 1}
         for m2 in range(degree + 1):
             w = d2_power
             for m1 in range(degree + 1 - m2):
                 if m1:
-                    w = act_letter(L_letter((0, 0)), w) + act_letter(D2, w)
-                span.add(dict(w.terms))
-            d2_power = act_letter(D2, d2_power)
+                    w = linear(d1, lambda kernel: _act_terms(kernel, w), dict)
+                span.add(w)
+            d2_power = _act_terms(d2, d2_power)
     count = (degree + 1) * (degree + 2) // 2
     expected = count * module.dim
     return {
@@ -376,7 +385,11 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
         raise ValueError("seed is zero")
     if seed.degree() > degree:
         raise ValueError("seed degree exceeds the truncation cap")
-    generators = [D2] + [L_letter(idx) for idx in l_indices(-1, gen_degree)]
+    # each generator as (worst-case degree raise, compiled kernel)
+    generators = [
+        (letter_degree(letter) + 1, _letter_kernel(letter, seed.module, seed.a))
+        for letter in [D2] + [L_letter(idx) for idx in l_indices(-1, gen_degree)]
+    ]
 
     def key_rank(key: TKey):
         beta, k = key
@@ -390,16 +403,16 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     # it, so a row's degree is fixed. A row is read as stored when its pass
     # comes; it is still a vector of the span.
     span = EchelonSpan(key_rank)
-    frontier = [span.add(dict(seed.terms))]
+    frontier = [span.add(seed.terms)]
     while frontier:
         added = []
         for row in frontier:
             # a copy: a later add may reduce the stored row in place
-            vec = seed._new(dict(row))
-            row_degree = vec.degree()
-            for letter in generators:
-                if row_degree + letter_degree(letter) + 1 <= degree:
-                    stored = span.add(dict(act_letter(letter, vec).terms))
+            terms = dict(row)
+            row_degree = max(mtotal(beta) for beta, _ in terms)
+            for raise_by, kernel in generators:
+                if row_degree + raise_by <= degree:
+                    stored = span.add(_act_terms(kernel, terms))
                     if stored is not None:
                         added.append(stored)
         frontier = added

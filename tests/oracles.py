@@ -1,11 +1,14 @@
 """Reference routines that only the tests use: the twisted polynomial module,
 the degree-zero identification on Lie elements, PBW normal forms of
-arbitrary letter sequences, powers by repeated products, and the localized
-action term by term."""
+arbitrary letter sequences, powers by repeated products, the localized
+action term by term, and the rank probes on vectors."""
 
-from sbar2lab.base import Poly2, as_scalar, linear
+from sbar2lab.base import Poly2, accumulate, as_scalar, linear, mtotal
 from sbar2lab.enveloping import UEnv, _nf, partial_inverse
 from sbar2lab.gl2 import Gl2Poly, pi_letter
+from sbar2lab.lie import D2, L_letter, l_indices, letter_degree
+from sbar2lab.linalg import EchelonSpan, nullspace
+from sbar2lab.tmodule import TVector, act_letter, slice_keys
 
 
 class A2aVector:
@@ -73,3 +76,55 @@ def loc_act_by_term(x, v, partial, word_act, scalars):
         return word_act(head, u)
 
     return linear(x.items(), image, v._new)
+
+
+def closure_probe_by_vectors(seed, degree: int, gen_degree: int) -> dict:
+    """``closure_probe`` with a ``TVector`` for every letter applied: the
+    span closes over its own rows breadth first, each row acted on by
+    ``act_letter`` while the cap allows the letter's worst-case degree raise."""
+    generators = [D2] + [L_letter(idx) for idx in l_indices(-1, gen_degree)]
+    span = EchelonSpan(lambda key: (-mtotal(key[0]), key[0], key[1]))
+    frontier = [span.add(dict(seed.terms))]
+    while frontier:
+        added = []
+        for row in frontier:
+            vec = seed._new(dict(row))
+            for letter in generators:
+                if vec.degree() + letter_degree(letter) + 1 <= degree:
+                    stored = span.add(dict(act_letter(letter, vec).terms))
+                    if stored is not None:
+                        added.append(stored)
+        frontier = added
+    pivot_degrees = [mtotal(key[0]) for key in span.pivot_keys()]
+    window = degree - gen_degree
+    table = {
+        d: (sum(1 for pd in pivot_degrees if pd <= d), (d + 1) * (d + 2) // 2 * seed.module.dim)
+        for d in range(window + 1)
+    }
+    return {
+        "window": window,
+        "table": table,
+        "proper": all(c < amb for c, amb in table.values()),
+        "full": all(c == amb for c, amb in table.values()),
+        "tracked_rank": span.rank,
+    }
+
+
+def joint_kernel_by_vectors(module, a, degree: int, ops) -> list:
+    """``joint_kernel`` over ``(op, scalar)`` pairs with op a callable on
+    vectors, applied to a ``TVector`` per slice key, the kernel read off
+    ``nullspace``."""
+    keys = slice_keys(module, degree)
+    index = {key: pos for pos, key in enumerate(keys)}
+    rows = []
+    for op, scalar in ops:
+        block: dict = {}
+        for j, key in enumerate(keys):
+            coords = dict(op(TVector({key: 1}, a=a, module=module)).terms)
+            accumulate(coords, key, -scalar)
+            for out_key, c in coords.items():
+                if out_key not in index:
+                    raise ValueError("operator left the degree slice")
+                block.setdefault(index[out_key], {})[j] = c
+        rows.extend(block.values())
+    return [TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module) for vec in nullspace(rows, len(keys))]

@@ -17,7 +17,10 @@ import pytest
 from test_golden import REDUCED_DEGREES
 
 from sbar2lab import base
+from sbar2lab.gl2 import gl2_simple
+from sbar2lab.lie import D2
 from sbar2lab.suites import run_suite, suite_names
+from sbar2lab.tmodule import BasisImages
 
 # every loaded package module that bound the name, base itself included
 MODULES = [
@@ -56,3 +59,12 @@ def test_suite_scalars_are_canonical(name, monkeypatch):
     assert kinds["int"] > 0
     assert set(stored) <= {"int", "Fraction"}, stored
     assert stored["int"] > 0
+
+
+def test_basis_images_sums_are_canonical():
+    # pairs_on sums raw table coefficients, so two halves of an integral
+    # value are coerced when the sum is translated back to keys
+    images = BasisImages(gl2_simple((1, 0)), (1, 1))
+    got = images.pairs_on([(D2, D2, Fraction(1, 2))] * 2, ((0, 1), 0))
+    assert got == {((0, 1), 0): 1, ((0, 2), 0): 3, ((0, 3), 0): 1}
+    assert {_kind(c) for c in got.values()} == {"int"}

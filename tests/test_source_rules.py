@@ -182,21 +182,33 @@ def test_linalg_has_one_elimination_routine():
     assert updates and [node.lineno for node in updates if id(node) not in inside] == []
 
 
+RANK_PROBES = ("closure_probe", "joint_kernel", "uh_freeness_check")
+
+
 def test_module_action_is_written_out_once():
     # the kernel builder is the only place a gl_2 matrix column enters the
     # action on a tensor vector, and _act_terms is the only loop applying a
-    # compiled kernel: act_letter and BasisImages both go through it. The
-    # sigma suite takes its letters and coefficients from sigma_terms instead
-    # of doing the index arithmetic itself
+    # compiled kernel: act_letter, BasisImages and the rank probes all go
+    # through it. The sigma suite takes its letters and coefficients from
+    # sigma_terms instead of doing the index arithmetic itself
     sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "column")]
     inside = [("tmodule.py", node.lineno) for node in _calls(_function("tmodule.py", "_letter_kernel"), "column")]
     assert sites and sites == inside, sites
     kernels = sorted((name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "_letter_kernel"))
     appliers = [_function("tmodule.py", "act_letter"), _method("tmodule.py", "BasisImages", "image")]
+    appliers += [_function("tmodule.py", name) for name in RANK_PROBES]
     assert kernels == sorted(("tmodule.py", node.lineno) for tree in appliers for node in _calls(tree, "_letter_kernel"))
     assert all(_calls(tree, "_act_terms") for tree in appliers)
     sigma = _function("suites.py", "_suite_sigma")
     assert [node.lineno for name in ("L_letter", "comb0") for node in _calls(sigma, name)] == []
+
+
+def test_rank_probes_act_on_term_dicts():
+    # the closure, Whittaker and freeness probes apply compiled kernels to
+    # plain term dicts, so no TVector is built per letter they apply
+    probes = [_function("tmodule.py", name) for name in RANK_PROBES]
+    sites = [node.lineno for tree in probes for name in ("act_letter", "act_sbar", "act_partial") for node in _calls(tree, name)]
+    assert sites == []
 
 
 def test_suites_evaluate_letter_products_through_basis_images():

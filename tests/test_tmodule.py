@@ -14,7 +14,7 @@ from sbar2lab.gl2 import gl2_simple, mat_identity, mat_mul, pi_letter
 from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, sbar_bracket
 from sbar2lab.linalg import EchelonSpan
 from sbar2lab.report import FAIL, PASS
-from sbar2lab.suites import _letters, run_suite
+from sbar2lab.suites import LAMBDA_GRID, _letters, run_suite
 from sbar2lab.tmodule import (
     BasisImages,
     SigmaOp,
@@ -26,6 +26,7 @@ from sbar2lab.tmodule import (
     act_partial,
     act_sbar,
     closure_probe,
+    joint_kernel,
     random_seed_vector,
     sigma_act,
     sigma_terms,
@@ -34,7 +35,7 @@ from sbar2lab.tmodule import (
     whittaker_space,
 )
 from sbar2lab.weyl import Weyl, phi_letter
-from oracles import A2aVector, a2a_act
+from oracles import A2aVector, a2a_act, closure_probe_by_vectors, joint_kernel_by_vectors
 
 
 def basis(module, a, beta, k):
@@ -482,19 +483,20 @@ def test_closure_probe_reads_rows_without_aliasing_them(monkeypatch):
             self.seen = {pivot: dict(r) for pivot, r in self._rows.items()}
             return row
 
-    acted = {}  # id -> (vector, its terms when first acted on)
+    acted = {}  # id -> (term dict, its terms when first acted on)
+    act_terms = tmodule._act_terms
 
-    def watched_act(letter, w):
-        _, terms = acted.setdefault(id(w), (w, dict(w.terms)))
-        assert w.terms == terms
-        return act_letter(letter, w)
+    def watched_act(kernel, terms):
+        _, first = acted.setdefault(id(terms), (terms, dict(terms)))
+        assert terms == first
+        return act_terms(kernel, terms)
 
     monkeypatch.setattr(tmodule, "EchelonSpan", WatchedSpan)
-    monkeypatch.setattr(tmodule, "act_letter", watched_act)
+    monkeypatch.setattr(tmodule, "_act_terms", watched_act)
     # a random seed, so later adds do reduce rows that were read already
     seed = random_seed_vector(gl2_simple((1, 0)), (1, 1), random.Random(0))
     assert closure_probe(seed, 6, 2)["tracked_rank"] > 20
-    assert len(acted) > 20 and all(w.terms == terms for w, terms in acted.values())
+    assert len(acted) > 20 and all(terms == first for terms, first in acted.values())
 
 
 def test_closure_probe_random_seed_simple_case():
@@ -546,3 +548,46 @@ def test_closure_reducible_table_is_monotone_in_the_cap():
         assert all(low[d][0] <= high[d][0] for d in low), (low, high)
     # the submodule generated by v0 + v1 is half of every slice
     assert tables[-1] == {d: ((d + 1) * (d + 2) // 2, (d + 1) * (d + 2)) for d in range(11)}
+
+
+@st.composite
+def closure_cases(draw):
+    """A seed on T(a, V) for lam in the suites' grid, with a mixing ints,
+    Fractions and zeros, and a truncation cap up to 5 above the seed."""
+    module = gl2_simple(draw(st.sampled_from(LAMBDA_GRID)))
+    a = draw(st.tuples(TYPE_SCALARS, TYPE_SCALARS))
+    degree = draw(st.integers(0, 5))
+    beta = st.integers(0, degree).flatmap(lambda b1: st.tuples(st.just(b1), st.integers(0, degree - b1)))
+    key = st.tuples(beta, st.integers(0, module.dim - 1))
+    terms = draw(st.dictionaries(key, SMALL_SCALARS.filter(bool), min_size=1, max_size=6))
+    return TVector(terms, a=a, module=module), degree, draw(st.integers(0, 3))
+
+
+@pytest.mark.usefixtures("scoped")
+@settings(SCOPED_PROPERTY, max_examples=60)
+@given(closure_cases())
+def test_closure_probe_matches_the_vector_oracle(case):
+    seed, degree, gen_degree = case
+    assert closure_probe(seed, degree, gen_degree) == closure_probe_by_vectors(seed, degree, gen_degree)
+
+
+@pytest.mark.usefixtures("scoped")
+@settings(SCOPED_PROPERTY, max_examples=100)
+@given(st.sampled_from(LAMBDA_GRID), st.tuples(TYPE_SCALARS, TYPE_SCALARS), st.integers(0, 5), st.data())
+def test_joint_kernel_matches_the_vector_oracle(lam, a, degree, data):
+    # ops are Sbar combinations of letters of degree <= 0, d2 among them,
+    # shifted by 0 or an a_i so that kernels are often nonzero; one whose
+    # twist raises the degree must leave the slice on both paths
+    module = gl2_simple(lam)
+    x = st.dictionaries(st.sampled_from(_letters(0)), SMALL_SCALARS, min_size=1, max_size=3).map(Sbar)
+    ops = data.draw(st.lists(st.tuples(x, st.sampled_from((0, *a))), min_size=1, max_size=2))
+    vector_ops = [(lambda v, x=x: act_sbar(x, v), scalar) for x, scalar in ops]
+    try:
+        expect = joint_kernel_by_vectors(module, a, degree, vector_ops)
+    except ValueError:
+        with pytest.raises(ValueError, match="left the degree slice"):
+            joint_kernel(module, a, degree, ops)
+        return
+    got = joint_kernel(module, a, degree, ops)
+    assert got == expect
+    assert all(type(c) is int or c.denominator != 1 for w in got for c in w.terms.values())
