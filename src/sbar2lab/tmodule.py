@@ -289,7 +289,7 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
                     if out_key not in index:
                         raise ValueError("operator left the degree slice")
                     accumulate(block.setdefault(index[out_key], {}), j, v)
-        rows.extend(block.values())
+        rows.extend(row for row in block.values() if row)  # entries can cancel to an empty row
     return [
         TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module)
         for vec in nullspace(rows, len(keys))
