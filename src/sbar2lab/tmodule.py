@@ -273,23 +273,25 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     """Basis of the common kernel of x - scalar on the degree slice, over the
     ``(x, scalar)`` pairs of ``ops`` with x an ``Sbar``.
 
-    Each x must map the slice into itself (degree-nonincreasing).
+    Each x must map the slice into itself (degree-nonincreasing); its letters'
+    terms outside the slice may cancel, but a summed image outside raises.
     """
     a = (as_scalar(a[0]), as_scalar(a[1]))
     keys = slice_keys(module, degree)
-    index = {key: pos for pos, key in enumerate(keys)}
+    in_slice = set(keys)
     rows: list[dict] = []
     for x, scalar in ops:
-        # output position -> sparse row {column: value}, summed letter by letter
-        block = {j: {j: -scalar} for j in range(len(keys))} if scalar else {}
+        # output key -> sparse row {column: value}, summed over the op's letters
+        block = {key: {j: -scalar} for j, key in enumerate(keys)} if scalar else {}
         for letter, c in x.items():
             kernel = _letter_kernel(letter, module, a)
             for j, key in enumerate(keys):
                 for out_key, v in _act_terms(kernel, {key: c}).items():
-                    if out_key not in index:
-                        raise ValueError("operator left the degree slice")
-                    accumulate(block.setdefault(index[out_key], {}), j, v)
-        rows.extend(row for row in block.values() if row)  # entries can cancel to an empty row
+                    accumulate(block.setdefault(out_key, {}), j, v)
+        for out_key, row in block.items():
+            if row and out_key not in in_slice:  # entries can cancel to an empty row
+                raise ValueError("operator left the degree slice")
+        rows.extend(row for row in block.values() if row)
     return [
         TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module)
         for vec in nullspace(rows, len(keys))

@@ -572,6 +572,20 @@ def test_closure_probe_matches_the_vector_oracle(case):
 
 
 @pytest.mark.usefixtures("scoped")
+def test_joint_kernel_checks_the_slice_on_an_ops_summed_image():
+    # with a1 = 0, L(0,0) and d2 each move t^beta to t^(beta+e2), with
+    # coefficients -a2 and +a2; their sum maps every slice into itself
+    module = gl2_simple((1, 0))
+    a = (0, 1)
+    x = Sbar({L_letter((0, 0)): 1, D2: 1})
+    for degree in range(4):
+        expect = joint_kernel_by_vectors(module, a, degree, [(lambda v: act_sbar(x, v), 0)])
+        assert joint_kernel(module, a, degree, [(x, 0)]) == expect
+    with pytest.raises(ValueError, match="left the degree slice"):
+        joint_kernel(module, a, 2, [(Sbar({D2: 1}), 0)])
+
+
+@pytest.mark.usefixtures("scoped")
 @settings(SCOPED_PROPERTY, max_examples=100)
 @given(st.sampled_from(LAMBDA_GRID), st.tuples(TYPE_SCALARS, TYPE_SCALARS), st.integers(0, 5), st.data())
 def test_joint_kernel_matches_the_vector_oracle(lam, a, degree, data):
