@@ -29,7 +29,6 @@ from .tmodule import (
     SigmaOp,
     TVector,
     closure_probe,
-    sigma_act,
     uh_freeness_check,
     whittaker_space,
 )

@@ -159,11 +159,7 @@ def whittaker_stability_defect(alpha: MultiIndex) -> tuple[Q1, Q1]:
     """(p_i - 1) applied to xi(Y_a) v; both must vanish for the image to lie
     in the Whittaker-invariant subalgebra."""
     base = reduce_mod_I1(xi_y(alpha))
-    out = []
-    for i in (1, 2):
-        moved = q1_act(UEnv.partial(i), base)
-        out.append(moved - base)
-    return out[0], out[1]
+    return q1_act(UEnv.partial(1), base) - base, q1_act(UEnv.partial(2), base) - base
 
 
 def pi1(alpha: MultiIndex, lam=None) -> tuple[Gl2Poly, Matrix | None]:
@@ -212,17 +208,7 @@ def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
 def _ordered_monomials(indices: list[MultiIndex], max_len: int):
     """Non-decreasing index words up to the length cap, empty word included."""
     order = sorted(indices, key=lambda a: (mtotal(a), a[0], a[1]))
-    words: list[tuple[MultiIndex, ...]] = [()]
-    frontier: list[tuple[MultiIndex, ...]] = [()]
-    for _ in range(max_len):
-        nxt = []
-        for word in frontier:
-            start = order.index(word[-1]) if word else 0
-            for idx in order[start:]:
-                nxt.append(word + (idx,))
-        words.extend(nxt)
-        frontier = nxt
-    return words
+    return [word for n in range(max_len + 1) for word in itertools.combinations_with_replacement(order, n)]
 
 
 def _word_value(values: dict, word: tuple[MultiIndex, ...]) -> Loc:

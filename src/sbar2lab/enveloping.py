@@ -30,11 +30,11 @@ from functools import cache
 from .base import E1, E2, LinComb, MultiIndex, Scalar, accumulate, gbinom, linear, qdiv, terms_str
 from .lie import (
     _AD_CAP,
-    D2,
-    L_letter,
+    PARTIALS,
     Letter,
     P1_LETTER,
     P2_LETTER,
+    Sbar,
     letter_bracket,
     letter_str,
 )
@@ -102,27 +102,26 @@ class UEnv(LinComb):
         return _nf(w1 + w2).items()
 
     @classmethod
-    def letter(cls, letter: Letter) -> "UEnv":
-        return cls({(letter,): 1})
+    def from_sbar(cls, x: Sbar) -> "UEnv":
+        """The Lie element as one-letter words; its coefficients are already canonical."""
+        return cls._adopt({(letter,): c for letter, c in x.items()})
 
     @classmethod
     def L(cls, alpha: MultiIndex) -> "UEnv":
-        return cls.letter(L_letter(alpha))
+        return cls.from_sbar(Sbar.L(alpha))
 
     @classmethod
     def d2(cls) -> "UEnv":
-        return cls.letter(D2)
+        return cls.from_sbar(Sbar.d2())
 
     @classmethod
     def d1(cls) -> "UEnv":
-        return cls({(L_letter((0, 0)),): 1, (D2,): 1})
+        return cls.from_sbar(Sbar.d1())
 
     @classmethod
     def partial(cls, i: int) -> "UEnv":
-        """d/dt_i as an element: the letter for i=1, minus the letter for i=2."""
-        if i == 1:
-            return cls({(P1_LETTER,): 1})
-        return cls({(P2_LETTER,): -1})
+        """d/dt_i as an element, ``lie.PARTIALS[i]``."""
+        return cls.from_sbar(PARTIALS[i])
 
     def __str__(self):
         return _sorted_str(self.terms, word_str)

@@ -19,7 +19,7 @@ from .base import Poly2, in_phi, linear, madd, mtotal, qdiv
 from .centralizer import y_element
 from .enveloping import Loc, UEnv
 from .gl2 import Gl2Module
-from .lie import Sbar
+from .lie import PARTIALS, Sbar
 from .tmodule import TVector
 from .weyl import TensorAlg, phi_sbar, phi_t
 
@@ -262,10 +262,8 @@ def _fold(ast, atom_fn, one, scalar_fn, neg_pow=None):
 
 
 #: the algebra's named atoms; each evaluation context maps them through its
-#: own embedding (p2 is d/dt_2, which is minus the letter L(0,-1))
-_ALGEBRA_ATOMS = {
-    "d1": Sbar.d1(), "d2": Sbar.d2(), "d": Sbar.d(), "p1": Sbar.L((-1, 0)), "p2": -Sbar.L((0, -1)),
-}
+#: own embedding (p1 and p2 are the constant fields ``lie.PARTIALS``)
+_ALGEBRA_ATOMS = {"d1": Sbar.d1(), "d2": Sbar.d2(), "d": Sbar.d(), "p1": PARTIALS[1], "p2": PARTIALS[2]}
 
 
 def _algebra_atom(name, args) -> Sbar | None:
@@ -282,7 +280,7 @@ def eval_loc(ast) -> Loc:
         x = _algebra_atom(name, args)
         if x is None:
             raise ValueError(f"atom {name} has no meaning in the enveloping algebra")
-        return Loc.from_uenv(linear(x.items(), UEnv.letter, UEnv._adopt))
+        return Loc.from_uenv(UEnv.from_sbar(x))
 
     def neg_pow(name, exp):
         return Loc.partial(1 if name == "p1" else 2, exp)

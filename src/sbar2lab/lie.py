@@ -170,8 +170,7 @@ def divergence(x: VectorField) -> Poly2:
 
 def l_basis(alpha: MultiIndex) -> VectorField:
     """The spanning field L_alpha; terms whose coefficient vanishes are dropped."""
-    letter = L_letter(alpha)  # validates the index
-    del letter
+    L_letter(alpha)  # validates the index
     out = []
     c1 = 1 + alpha[1]
     if c1:
@@ -203,6 +202,11 @@ class Sbar(LinComb):
 
     def __str__(self):
         return terms_str((letter_str(letter), self.terms[letter]) for letter in sorted(self.terms))
+
+
+#: the constant fields d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1); with ``Sbar.d1``
+#: this is the one place their letters and signs are written out
+PARTIALS = {1: Sbar({P1_LETTER: 1}), 2: Sbar({P2_LETTER: -1})}
 
 
 def sbar_bracket(x: Sbar, y: Sbar) -> Sbar:

@@ -15,9 +15,10 @@ identification of ``gl2``. Read off phi and the pi table, that is
 where the polynomial factor is acted on with d/dt_i shifted by a_i. Whenever
 one of the exponent shifts leaves Z_+^2 its scalar prefactor vanishes, so the
 displayed formula needs no boundary cases. The constant fields are letters
-too: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1) on T. Each letter's action is
+too, and d/dt_i is the element ``lie.PARTIALS[i]``. Each letter's action is
 compiled once per run (``base.run_memo``) against its module and type vector,
-and ``_act_terms`` is the one loop applying it: ``act_letter`` on a vector,
+and ``_act_terms`` is the one loop applying it to term dicts: ``act_letter``
+on one letter, ``act_sbar`` on a Lie element, with one vector per call, and
 ``BasisImages`` on basis keys, whose images it keeps for one check or one
 search under small int key ids; the action is linear, so they determine
 every letter product, and ``pairs_on`` sums those products over the ids.
@@ -38,7 +39,7 @@ from .base import (
 )
 from .enveloping import Loc, Word, loc_act
 from .gl2 import Gl2Module, pi_letter
-from .lie import D2, L_letter, Letter, P1_LETTER, P2_LETTER, Sbar, l_indices, letter_degree
+from .lie import D2, PARTIALS, L_letter, Letter, Sbar, l_indices, letter_degree
 from .linalg import EchelonSpan, nullspace
 from .weyl import phi_letter
 
@@ -209,7 +210,8 @@ class BasisImages:
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:
-    return linear(x.items(), lambda letter: act_letter(letter, w), w._new)
+    """Module action of a Lie element: its letters' kernels summed on the terms of ``w``."""
+    return linear(x.items(), lambda letter: _act_terms(_letter_kernel(letter, w.module, w.a), w.terms), w._new)
 
 
 def act_word(word: Word, w: TVector) -> TVector:
@@ -219,11 +221,8 @@ def act_word(word: Word, w: TVector) -> TVector:
 
 
 def act_partial(i: int, w: TVector) -> TVector:
-    """Module action of d/dt_i: the letter L(-1,0) for i=1 and minus the
-    letter L(0,-1) for i=2, as in ``UEnv.partial``."""
-    if i == 1:
-        return act_letter(P1_LETTER, w)
-    return -act_letter(P2_LETTER, w)
+    """Module action of d/dt_i, the element ``lie.PARTIALS[i]``."""
+    return act_sbar(PARTIALS[i], w)
 
 
 def act_loc(x: Loc, w: TVector) -> TVector:
@@ -262,11 +261,10 @@ def slice_keys(module: Gl2Module, degree: int) -> list[TKey]:
 
 def whittaker_space(module: Gl2Module, a, degree: int) -> list[TVector]:
     """Exact joint kernel of the shifted operators d/dt_i - a_i on the degree
-    slice, as ``(Sbar, scalar)`` ops: d/dt_1 = L(-1,0) and d/dt_2 = -L(0,-1).
-    The slice is operator-stable, so the answer is exact for every truncation
+    slice, as ``(Sbar, scalar)`` ops with d/dt_i from ``lie.PARTIALS``. The
+    slice is operator-stable, so the answer is exact for every truncation
     degree."""
-    ops = [Sbar({P1_LETTER: 1}), Sbar({P2_LETTER: -1})]
-    return joint_kernel(module, a, degree, list(zip(ops, a)))
+    return joint_kernel(module, a, degree, [(PARTIALS[i], a[i - 1]) for i in (1, 2)])
 
 
 def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
@@ -275,7 +273,10 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
 
     Each x must map the slice into itself (degree-nonincreasing); its letters'
     terms outside the slice may cancel, but a summed image outside raises.
+    A negative degree, whose slice is empty, raises too.
     """
+    if degree < 0:
+        raise ValueError("degree must be nonnegative: the slice is empty")
     a = (as_scalar(a[0]), as_scalar(a[1]))
     keys = slice_keys(module, degree)
     in_slice = set(keys)
@@ -302,12 +303,14 @@ def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
     """Rank of the Cartan translates d1^m1 d2^m2 (1 x v_k), m1 + m2 <=
     ``degree``, of the constant vectors; full rank witnesses freeness on the
     window. Each translate is built letter by letter, d2 m2 times and then
-    d1 = L(0,0) + d2 m1 times."""
+    the letters of ``Sbar.d1()`` m1 times."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative: the window is empty")
     a = (as_scalar(a[0]), as_scalar(a[1]))
     if not (a[0] and a[1]):
         raise ValueError("freeness check needs a nonsingular type vector")
     d2 = _letter_kernel(D2, module, a)
-    d1 = [(_letter_kernel(L_letter((0, 0)), module, a), 1), (d2, 1)]
+    d1 = [(_letter_kernel(letter, module, a), c) for letter, c in Sbar.d1().items()]
     span = EchelonSpan()
     for k in range(module.dim):
         d2_power = {((0, 0), k): 1}
@@ -364,11 +367,6 @@ def sigma_terms(op: SigmaOp) -> list[tuple[Letter, Letter, int]]:
     return out
 
 
-def sigma_act(op: SigmaOp, w: TVector) -> TVector:
-    pairs = [((first, second), coeff) for first, second, coeff in sigma_terms(op)]
-    return linear(pairs, lambda letters: act_letter(letters[0], act_letter(letters[1], w)), w._new)
-
-
 def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     """Grow the submodule generated by the seed inside the degree-``degree``
     truncation under all letters of degree between -1 and ``gen_degree`` plus
@@ -381,8 +379,8 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     Reported dimensions are therefore true dimensions of a subspace of the
     submodule slice, saturating on the trusted window degree <= cap minus
     generator degree. The module and the type vector are the seed's own."""
-    if degree < 0 or gen_degree < 0:
-        raise ValueError("degree caps must be nonnegative")
+    if not 0 <= gen_degree <= degree:
+        raise ValueError("degree caps must satisfy 0 <= gen_degree <= degree, or the trusted window is empty")
     if seed.is_zero():
         raise ValueError("seed is zero")
     if seed.degree() > degree:

@@ -59,6 +59,7 @@ from .lie import (
     l_basis,
     letter_alpha,
     letter_degree,
+    sbar_bracket,
     sbar_to_vf,
 )
 
@@ -232,8 +233,6 @@ def phi_hom_check(x, y) -> TensorAlg:
     [phi(x), phi(t^b)] with x acting as a derivation. Polynomial pair:
     phi(pq) - phi(p) phi(q).
     """
-    from .lie import sbar_bracket
-
     if isinstance(x, Sbar) and isinstance(y, Sbar):
         lhs = phi_sbar(sbar_bracket(x, y))
         fx, fy = phi_sbar(x), phi_sbar(y)

@@ -1,14 +1,15 @@
 """Reference routines that only the tests use: the twisted polynomial module,
 the degree-zero identification on Lie elements, PBW normal forms of
 arbitrary letter sequences, powers by repeated products, the localized
-action term by term, and the rank probes on vectors."""
+action term by term, the rank probes on vectors, and the sigma operators on
+vectors."""
 
 from sbar2lab.base import Poly2, accumulate, as_scalar, linear, mtotal
 from sbar2lab.enveloping import UEnv, _nf, partial_inverse
 from sbar2lab.gl2 import Gl2Poly, pi_letter
 from sbar2lab.lie import D2, L_letter, l_indices, letter_degree
 from sbar2lab.linalg import EchelonSpan, nullspace
-from sbar2lab.tmodule import TVector, act_letter, slice_keys
+from sbar2lab.tmodule import TVector, act_letter, sigma_terms, slice_keys
 
 
 class A2aVector:
@@ -128,3 +129,10 @@ def joint_kernel_by_vectors(module, a, degree: int, ops) -> list:
                 block.setdefault(index[out_key], {})[j] = c
         rows.extend(block.values())
     return [TVector({keys[j]: c for j, c in vec.items()}, a=a, module=module) for vec in nullspace(rows, len(keys))]
+
+
+def sigma_act(op, w):
+    """The sigma operator on a vector, each two-letter product of its
+    ``sigma_terms`` applied through ``act_letter``, inner letter first."""
+    pairs = [((first, second), coeff) for first, second, coeff in sigma_terms(op)]
+    return linear(pairs, lambda letters: act_letter(letters[0], act_letter(letters[1], w)), w._new)

@@ -50,6 +50,21 @@ def test_whittaker_and_freeness(capsys):
     assert "rank 20 of 20" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["closure", "--lambda", "1,0", "--type", "1,1", "--seed-expr", "v0", "--degree", "2", "--gen-degree", "5"],
+         "trusted window is empty"),
+        (["freeness", "--lambda", "1,0", "--degree", "-1"], "window is empty"),
+        (["whittaker", "--lambda", "1,0", "--type", "1,1", "--degree", "-1"], "slice is empty"),
+    ],
+)
+def test_empty_windows_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 def test_closure_seed_expr(capsys):
     rc = main(
         [

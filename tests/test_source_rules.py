@@ -188,15 +188,15 @@ RANK_PROBES = ("closure_probe", "joint_kernel", "uh_freeness_check")
 def test_module_action_is_written_out_once():
     # the kernel builder is the only place a gl_2 matrix column enters the
     # action on a tensor vector, and _act_terms is the only loop applying a
-    # compiled kernel: act_letter, BasisImages and the rank probes all go
-    # through it. The sigma suite takes its letters and coefficients from
-    # sigma_terms instead of doing the index arithmetic itself
+    # compiled kernel: act_letter, act_sbar, BasisImages and the rank probes
+    # all go through it. The sigma suite takes its letters and coefficients
+    # from sigma_terms instead of doing the index arithmetic itself
     sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "column")]
     inside = [("tmodule.py", node.lineno) for node in _calls(_function("tmodule.py", "_letter_kernel"), "column")]
     assert sites and sites == inside, sites
     kernels = sorted((name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "_letter_kernel"))
-    appliers = [_function("tmodule.py", "act_letter"), _method("tmodule.py", "BasisImages", "image")]
-    appliers += [_function("tmodule.py", name) for name in RANK_PROBES]
+    appliers = [_function("tmodule.py", name) for name in ("act_letter", "act_sbar", *RANK_PROBES)]
+    appliers.append(_method("tmodule.py", "BasisImages", "image"))
     assert kernels == sorted(("tmodule.py", node.lineno) for tree in appliers for node in _calls(tree, "_letter_kernel"))
     assert all(_calls(tree, "_act_terms") for tree in appliers)
     sigma = _function("suites.py", "_suite_sigma")
@@ -209,6 +209,49 @@ def test_rank_probes_act_on_term_dicts():
     probes = [_function("tmodule.py", name) for name in RANK_PROBES]
     sites = [node.lineno for tree in probes for name in ("act_letter", "act_sbar", "act_partial") for node in _calls(tree, name)]
     assert sites == []
+
+
+CONSTANT_FIELD_LETTERS = ("P1_LETTER", "P2_LETTER")
+
+
+def _literal_index_calls(tree) -> list:
+    """Lines of calls to ``L_letter`` or to a method ``L`` with a literal index pair."""
+    return sorted(
+        node.lineno
+        for name in ("L_letter", "L")
+        for node in _calls(tree, name)
+        if node.args
+        and isinstance(node.args[0], ast.Tuple)
+        and len(node.args[0].elts) == 2
+        and all(_is_int_literal(e) for e in node.args[0].elts)
+    )
+
+
+def test_constant_fields_are_spelled_once():
+    # the letters and signs of d/dt_1, d/dt_2 (lie.PARTIALS) and of d1
+    # (Sbar.d1) are written out in lie only; split_tail_partials names the two
+    # letters because a word's sign (-1)^m2 is part of the Loc encoding
+    tail = _function("enveloping.py", "split_tail_partials")
+    inside = {id(node) for node in ast.walk(tail)}
+    named = [
+        (name, node.lineno)
+        for name, tree in MODULES.items()
+        if name != "lie.py"
+        for node in _names(tree, CONSTANT_FIELD_LETTERS)
+        if id(node) not in inside
+    ]
+    imported = [
+        (name, node.lineno)
+        for name, tree in MODULES.items()
+        if name not in ("lie.py", "enveloping.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and {a.name for a in node.names} & set(CONSTANT_FIELD_LETTERS)
+    ]
+    literal = [(name, line) for name, tree in MODULES.items() if name != "lie.py" for line in _literal_index_calls(tree)]
+    assert named == [] and imported == [] and literal == [], (named, imported, literal)
+    assert _names(tail, CONSTANT_FIELD_LETTERS)
+    planted = "x = Sbar.L((0, -1))\ny = UEnv.L((-1, 0)) + L_letter((0, 0))\nz = UEnv.L(alpha)\n"
+    assert _literal_index_calls(ast.parse(planted)) == [1, 2, 2]
 
 
 def test_suites_evaluate_letter_products_through_basis_images():

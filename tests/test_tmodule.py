@@ -28,14 +28,13 @@ from sbar2lab.tmodule import (
     closure_probe,
     joint_kernel,
     random_seed_vector,
-    sigma_act,
     sigma_terms,
     slice_keys,
     uh_freeness_check,
     whittaker_space,
 )
 from sbar2lab.weyl import Weyl, phi_letter
-from oracles import A2aVector, a2a_act, closure_probe_by_vectors, joint_kernel_by_vectors
+from oracles import A2aVector, a2a_act, closure_probe_by_vectors, joint_kernel_by_vectors, sigma_act
 
 
 def basis(module, a, beta, k):
@@ -456,6 +455,21 @@ def test_closure_probe_profiles():
         closure_probe(TVector(a=(1, 1), module=m), 4, 2)
 
 
+def test_probes_reject_an_empty_window():
+    # a window with no degree in it would report an empty table or a rank
+    # of 0 of 0, and all() over nothing reads as full
+    m = gl2_simple((1, 0))
+    with pytest.raises(ValueError, match="trusted window is empty"):
+        closure_probe(basis(m, (1, 1), (0, 0), 0), 2, 3)
+    assert closure_probe(basis(m, (1, 1), (0, 0), 0), 2, 2)["table"] == {0: (2, 2)}
+    with pytest.raises(ValueError, match="slice is empty"):
+        joint_kernel(m, (1, 1), -1, [(Sbar.d2(), 0)])
+    with pytest.raises(ValueError, match="slice is empty"):
+        whittaker_space(m, (1, 1), -1)
+    with pytest.raises(ValueError, match="window is empty"):
+        uh_freeness_check(m, (1, 1), -1)
+
+
 def test_vector_results_never_share_terms_with_an_operand():
     m = gl2_simple((1, 0))
     w = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (1, 0), 1) * Fraction(1, 2)
@@ -560,7 +574,7 @@ def closure_cases(draw):
     beta = st.integers(0, degree).flatmap(lambda b1: st.tuples(st.just(b1), st.integers(0, degree - b1)))
     key = st.tuples(beta, st.integers(0, module.dim - 1))
     terms = draw(st.dictionaries(key, SMALL_SCALARS.filter(bool), min_size=1, max_size=6))
-    return TVector(terms, a=a, module=module), degree, draw(st.integers(0, 3))
+    return TVector(terms, a=a, module=module), degree, draw(st.integers(0, min(3, degree)))
 
 
 @pytest.mark.usefixtures("scoped")
