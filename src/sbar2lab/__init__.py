@@ -16,7 +16,7 @@ from .lie import (
     vf_bracket,
     vf_to_sbar,
 )
-from .weyl import TensorAlg, Weyl, phi_L, phi_d2, phi_hom_check, phi_t
+from .weyl import TensorAlg, Weyl, phi_L, phi_d2, phi_hom_check, phi_poly
 from .enveloping import (
     Loc,
     Q1,

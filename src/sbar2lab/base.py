@@ -146,6 +146,11 @@ def is_nonneg(a: MultiIndex) -> bool:
     return a[0] >= 0 and a[1] >= 0
 
 
+def exponents(d: int) -> list[MultiIndex]:
+    """The exponents b in Z_+^2 with |b| <= d, in (|b|, b1) order."""
+    return [(b1, g - b1) for g in range(d + 1) for b1 in range(g + 1)]
+
+
 def in_phi(a: MultiIndex) -> bool:
     """Membership in the index set Z^2_{>=-1} minus the corner (-1,-1)."""
     return a[0] >= -1 and a[1] >= -1 and a != (-1, -1)
@@ -193,10 +198,6 @@ class LinComb:
 
     # subclasses carrying metadata override this construction hook
     _new = _adopt
-
-    @classmethod
-    def zero(cls):
-        return cls()
 
     @classmethod
     def one(cls):

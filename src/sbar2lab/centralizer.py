@@ -1,6 +1,7 @@
 """The centralizer of the Cartan and constant fields inside the localization.
 
-For each index a in Z^2_{>=-1} with |a| >= 0, a != 0, the element
+For each index a in Z^2_{>=-1} with |a| >= 0, a != 0 (``is_y_index``;
+``y_indices`` lists them up to a degree), the element
 
     Y_a = L_a p^a
         + sum_(0 <= |b| < |a|, b != 0) (-1)^(|a-b|) C(a+1, b+1) L_b
@@ -25,17 +26,27 @@ import itertools
 
 from .base import MultiIndex, Poly2, accumulate, binom2, linear, mtotal, run_memo
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
-from .gl2 import Gl2Module, Gl2Poly, Matrix, gl2_simple, pi_env
+from .gl2 import Gl2Poly, Matrix, gl2_simple, pi_env
 from .lie import l_indices
 from .linalg import EchelonSpan, solve
-from .tmodule import TVector, act_loc, act_partial
+from .tmodule import act_loc, whittaker_space
 
 #: generator indices in the fixed monomial order (|a|, a1, a2)
 H_GENERATORS: tuple[MultiIndex, ...] = ((-1, 1), (1, -1), (0, 1), (1, 0))
 
 
+def is_y_index(alpha: MultiIndex) -> bool:
+    """a in Z^2_{>=-1} with |a| >= 0 and a != 0, the index set of the Y's."""
+    return alpha[0] >= -1 and alpha[1] >= -1 and mtotal(alpha) >= 0 and alpha != (0, 0)
+
+
+def y_indices(hi: int) -> list[MultiIndex]:
+    """The Y-indices a with |a| <= hi, in (|a|, a1) order."""
+    return [alpha for alpha in l_indices(0, hi) if alpha != (0, 0)]
+
+
 def _check_y_index(alpha: MultiIndex) -> None:
-    if alpha[0] < -1 or alpha[1] < -1 or mtotal(alpha) < 0 or alpha == (0, 0):
+    if not is_y_index(alpha):
         raise ValueError(f"index {alpha} outside the Y-element range")
 
 
@@ -97,10 +108,9 @@ def dpoly_to_uenv(p: Poly2) -> UEnv:
 
 
 def _beta_range(alpha: MultiIndex) -> list[MultiIndex]:
-    """Indices b with 0 <= |b| < |a|, b != 0, inside Z^2_{>=-1}; componentwise
-    the binomial support bounds b_i <= a_i + 1."""
-    low = l_indices(0, mtotal(alpha) - 1)
-    return [b for b in low if b != (0, 0) and b[0] <= alpha[0] + 1 and b[1] <= alpha[1] + 1]
+    """The Y-indices b with |b| < |a| inside the binomial support, which
+    bounds b_i <= a_i + 1 componentwise."""
+    return [b for b in y_indices(mtotal(alpha) - 1) if b[0] <= alpha[0] + 1 and b[1] <= alpha[1] + 1]
 
 
 def y_terms(alpha: MultiIndex) -> list[tuple[UEnv, MultiIndex]]:
@@ -162,34 +172,19 @@ def whittaker_stability_defect(alpha: MultiIndex) -> tuple[Q1, Q1]:
     return q1_act(UEnv.partial(1), base) - base, q1_act(UEnv.partial(2), base) - base
 
 
-def pi1(alpha: MultiIndex, lam=None) -> tuple[Gl2Poly, Matrix | None]:
+def pi1(alpha: MultiIndex) -> Gl2Poly:
     """Operator image of Y_a: the degree-zero truncation of xi(Y_a) pushed
-    through the identification, in canonical form; optionally evaluated on
-    the module with highest weight lam."""
-    formal = pi_env(xi_y(alpha)).normalized()
-    if lam is None:
-        return formal, None
-    module = gl2_simple(lam)
-    return formal, formal.evaluate(module)
-
-
-def whittaker_basis(module: Gl2Module, a=(1, 1)) -> list[TVector]:
-    """The constant vectors 1 x v_k, checked to be Whittaker vectors."""
-    basis = []
-    for k in range(module.dim):
-        w = TVector.basis(module, a, (0, 0), k)
-        for i in (1, 2):
-            if not (act_partial(i, w) - w * a[i - 1]).is_zero():
-                raise AssertionError("constant vector is not a Whittaker vector")
-        basis.append(w)
-    return basis
+    through the identification, in canonical form; ``Gl2Poly.evaluate``
+    gives its matrix on a module."""
+    return pi_env(xi_y(alpha)).normalized()
 
 
 def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
     """Matrix of Y_a on the Whittaker vectors of the type-1 tensor module
-    versus the operator image on the module itself."""
+    versus the operator image on the module itself. On the degree-0 slice
+    the Whittaker space is every constant vector 1 x v_k, in k order."""
     module = gl2_simple(lam)
-    basis = whittaker_basis(module)
+    basis = whittaker_space(module, (1, 1), 0)
     y = y_element(alpha)
     cols = []
     for w in basis:
@@ -201,7 +196,7 @@ def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
             col[k] = c
         cols.append(col)
     mat_y = tuple(tuple(cols[j][i] for j in range(module.dim)) for i in range(module.dim))
-    _formal, mat_pi = pi1(alpha, lam)
+    mat_pi = pi1(alpha).evaluate(module)
     return mat_y, mat_pi, mat_y == mat_pi
 
 

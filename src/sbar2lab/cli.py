@@ -122,11 +122,11 @@ def _run(args) -> int:
             if args.xi:
                 print(xi_y(alpha))
             if args.pi1:
-                formal, matrix = pi1(alpha, args.lam)
+                formal = pi1(alpha)
+                matrix = () if args.lam is None else formal.evaluate(gl2_simple(args.lam))
                 print(formal)
-                if matrix is not None:
-                    for row in matrix:
-                        print("  [" + ", ".join(str(c) for c in row) + "]")
+                for row in matrix:
+                    print("  [" + ", ".join(str(c) for c in row) + "]")
             return 0
 
         if args.command == "whittaker":

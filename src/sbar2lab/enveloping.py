@@ -34,6 +34,7 @@ from .lie import (
     Letter,
     P1_LETTER,
     P2_LETTER,
+    NilpotencyGuardError,
     Sbar,
     letter_bracket,
     letter_str,
@@ -42,22 +43,20 @@ from .lie import (
 Word = tuple[Letter, ...]
 
 
-class NilpotencyGuardError(RuntimeError):
-    """An ad-expansion or inverse series exceeded its iteration cap (a bug)."""
-
-
-def pbw_engine(bracket):
+def pbw_engine(bracket, rank=None):
     """Memoized normal-form function for a letter set with the given bracket.
 
-    Letters must be tuples whose natural order is the PBW order; ``bracket``
-    returns [(letter, int coefficient)] for any letter pair.
+    ``rank`` maps each letter to its place in the PBW order; without it the
+    letters' natural order is the PBW order. ``bracket`` returns
+    [(letter, int coefficient)] for any letter pair.
     """
 
     @cache
     def nf(word: Word) -> dict:
+        ranks = word if rank is None else [rank[letter] for letter in word]
         for i in range(len(word) - 1):
-            x, y = word[i], word[i + 1]
-            if x > y:
+            if ranks[i] > ranks[i + 1]:
+                x, y = word[i], word[i + 1]
                 acc: dict = {}
                 _merge(acc, nf(word[:i] + (y, x) + word[i + 2:]), 1)
                 for letter, c in bracket(x, y):
@@ -164,7 +163,7 @@ class Loc(LinComb):
         for word, c in x.terms.items():
             head, m1, m2, sign = split_tail_partials(word)
             accumulate(out, (head, (m1, m2)), sign * c)
-        return cls(out)
+        return cls._adopt(out)
 
     @classmethod
     def partial(cls, i: int, exp: int = 1) -> "Loc":
@@ -239,13 +238,12 @@ def _partials_past_word(m: MultiIndex, word: Word) -> dict:
     p_i^m u = sum_k C(m, k) (ad p_i)^k(u) p_i^(m-k), valid for negative m
     with generalized binomials, on ad chains built from those entries.
     """
-    out: dict = {}
     if m in (E1, E2):
-        out[word, m] = 1
-        for w, c in _ad_partial(1 if m == E1 else 2, UEnv({word: 1})).items():
-            head, a1, a2, sign = split_tail_partials(w)
-            accumulate(out, (head, (a1, a2)), sign * c)
+        # a copy: the Loc owns its terms
+        out = dict(Loc.from_uenv(_ad_partial(1 if m == E1 else 2, UEnv({word: 1}))).terms)
+        accumulate(out, (word, m), 1)
         return out
+    out: dict = {}
     for k1, u1 in enumerate(_ad_chain(1, {(word, (0, 0)): 1}, m[0])):
         b1 = gbinom(m[0], k1)
         for k2, u2 in enumerate(_ad_chain(2, u1, m[1])):
@@ -277,14 +275,10 @@ class Q1(LinComb):
 
 
 def reduce_mod_I1(x: UEnv) -> Q1:
-    """Normal form of x acting on the cyclic vector: substitute both constant
-    fields by 1 at the right end of each word (the second letter carries a
-    sign per power)."""
-    out: dict = {}
-    for word, c in x.terms.items():
-        head, _m1, _m2, sign = split_tail_partials(word)
-        accumulate(out, head, sign * c)
-    return Q1(out)
+    """Normal form of x acting on the cyclic vector: both constant fields act
+    by 1 at the right end of each word (the second letter with a sign per
+    power), which leaves the heads of ``Loc.from_uenv(x)``, exponents dropped."""
+    return linear(Loc.from_uenv(x).items(), lambda key: {key[0]: 1}, Q1._adopt)
 
 
 def partial_inverse(i: int, v, partial, s):

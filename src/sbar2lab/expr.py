@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import re
 
-from .base import Poly2, in_phi, linear, madd, mtotal, qdiv
-from .centralizer import y_element
+from .base import E1, E2, Poly2, in_phi, linear, madd, qdiv
+from .centralizer import is_y_index, y_element
 from .enveloping import Loc, UEnv
 from .gl2 import Gl2Module
 from .lie import PARTIALS, Sbar
 from .tmodule import TVector
-from .weyl import TensorAlg, phi_sbar, phi_t
+from .weyl import TensorAlg, phi_poly, phi_sbar
 
 
 class ParseError(ValueError):
@@ -52,12 +52,8 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", text, len(text) - len(stripped))
-        if m.lastgroup is None and not m.group().strip():
-            pos = m.end()
-            continue
-        kind = m.lastgroup
-        if kind is not None:
-            tokens.append((kind, m.group(kind), m.start(kind)))
+        kind = m.lastgroup  # the token pattern always matches one named group
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
@@ -168,7 +164,7 @@ class _Parser:
     def _check_index(self, name: str, idx, pos: int):
         if name == "L" and not in_phi(idx):
             raise ParseError(f"L index {idx} outside the allowed range", self.text, pos)
-        if name == "Y" and (not in_phi(idx) or mtotal(idx) < 0 or idx == (0, 0)):
+        if name == "Y" and not is_y_index(idx):
             raise ParseError(f"Y index {idx} outside the allowed range", self.text, pos)
         if name == "t" and (idx[0] < 0 or idx[1] < 0):
             raise ParseError(f"t exponent {idx} must be nonnegative", self.text, pos)
@@ -225,37 +221,38 @@ def _wrap(ast, needs_parens: tuple) -> str:
     return text
 
 
-def _fold(ast, atom_fn, one, scalar_fn, neg_pow=None):
-    """Shared tree walk: atom_fn produces values, scalar_fn embeds rationals;
-    values must support + - * and integer powers. Negative powers (possible
-    only on p1/p2 after parsing) go through ``neg_pow`` where supported."""
+def _fold(ast, atom_fn, scalar_fn, neg_pow=None):
+    """Shared tree walk: atom_fn produces values, scalar_fn embeds rationals
+    (``scalar_fn(1)`` is the unit); values must support + - * and integer
+    powers. Negative powers (possible only on p1/p2 after parsing) go through
+    ``neg_pow`` where supported."""
     kind = ast[0]
     if kind == "num":
         return scalar_fn(ast[1])
     if kind == "atom":
         return atom_fn(ast[1], ast[2])
     if kind == "neg":
-        return _fold(ast[1], atom_fn, one, scalar_fn, neg_pow) * -1
+        return _fold(ast[1], atom_fn, scalar_fn, neg_pow) * -1
     if kind == "pow":
         exp = ast[2]
         if exp < 0:
             if neg_pow is None:
                 raise ValueError("negative powers have no meaning in this context")
             return neg_pow(ast[1][1], exp)
-        base = _fold(ast[1], atom_fn, one, scalar_fn, neg_pow)
-        out = one
+        base = _fold(ast[1], atom_fn, scalar_fn, neg_pow)
+        out = scalar_fn(1)
         for _ in range(exp):
             out = out * base
         return out
     if kind == "mul":
-        out = one
+        out = scalar_fn(1)
         for f in ast[1]:
-            out = out * _fold(f, atom_fn, one, scalar_fn, neg_pow)
+            out = out * _fold(f, atom_fn, scalar_fn, neg_pow)
         return out
     if kind == "sum":
         out = None
         for sign, term in ast[1]:
-            v = _fold(term, atom_fn, one, scalar_fn, neg_pow) * sign
+            v = _fold(term, atom_fn, scalar_fn, neg_pow) * sign
             out = v if out is None else out + v
         return out
     raise ValueError(f"malformed tree node {ast!r}")
@@ -269,6 +266,12 @@ _ALGEBRA_ATOMS = {"d1": Sbar.d1(), "d2": Sbar.d2(), "d": Sbar.d(), "p1": PARTIAL
 def _algebra_atom(name, args) -> Sbar | None:
     """The algebra element an atom names, or None when it names none."""
     return Sbar.L(args) if name == "L" else _ALGEBRA_ATOMS.get(name)
+
+
+def _poly_atom(name, args) -> Poly2 | None:
+    """The monomial a t atom (t(a,b), t1 or t2) names, or None when it names none."""
+    exp = args if name == "t" else {"t1": E1, "t2": E2}.get(name)
+    return None if exp is None else Poly2.monomial(exp)
 
 
 def eval_loc(ast) -> Loc:
@@ -285,25 +288,22 @@ def eval_loc(ast) -> Loc:
     def neg_pow(name, exp):
         return Loc.partial(1 if name == "p1" else 2, exp)
 
-    return _fold(ast, atom, Loc.one(), lambda c: Loc.one() * c, neg_pow)
+    return _fold(ast, atom, lambda c: Loc.one() * c, neg_pow)
 
 
 def eval_phi(ast) -> TensorAlg:
     """Evaluate the image of the expression under the generator map."""
 
     def atom(name, args):
-        if name == "t":
-            return phi_t(args)
-        if name == "t1":
-            return phi_t((1, 0))
-        if name == "t2":
-            return phi_t((0, 1))
+        p = _poly_atom(name, args)
+        if p is not None:
+            return phi_poly(p)
         x = _algebra_atom(name, args)
         if x is None:
             raise ValueError(f"atom {name} has no image under the generator map")
         return phi_sbar(x)
 
-    return _fold(ast, atom, TensorAlg.one(), lambda c: TensorAlg.one() * c)
+    return _fold(ast, atom, lambda c: TensorAlg.one() * c)
 
 
 class _SeedValue:
@@ -342,18 +342,14 @@ def eval_seed(ast, module: Gl2Module, a) -> TVector:
     """Evaluate a module-vector expression (t atoms and v atoms)."""
 
     def atom(name, args):
-        if name == "t":
-            return _SeedValue(poly=Poly2.monomial(args))
-        if name == "t1":
-            return _SeedValue(poly=Poly2.monomial((1, 0)))
-        if name == "t2":
-            return _SeedValue(poly=Poly2.monomial((0, 1)))
+        p = _poly_atom(name, args)
+        if p is not None:
+            return _SeedValue(poly=p)
         if name == "v":
             return _SeedValue(vec=TVector.basis(module, a, (0, 0), args[0]))
         raise ValueError(f"atom {name} has no meaning in a module vector")
 
-    one = _SeedValue(poly=Poly2.one())
-    value = _fold(ast, atom, one, lambda c: _SeedValue(poly=Poly2.const(c)))
+    value = _fold(ast, atom, lambda c: _SeedValue(poly=Poly2.const(c)))
     if value.vec is None:
         raise ValueError("seed expression contains no module basis vector")
     return value.vec

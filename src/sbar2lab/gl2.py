@@ -115,14 +115,10 @@ def _gl_letter_bracket(x, y):
         out.append(((i, l), 1))
     if l == i:
         out.append(((k, j), -1))
-    return [(p, c) for p, c in out if c]
+    return out
 
 
-def _gl_rank_bracket(x: int, y: int):
-    return [(_GL_RANK[p], c) for p, c in _gl_letter_bracket(GL_LETTERS[x], GL_LETTERS[y])]
-
-
-_gl_nf_raw = pbw_engine(_gl_rank_bracket)
+_gl_nf = pbw_engine(_gl_letter_bracket, _GL_RANK)
 
 
 class Gl2Poly(LinComb):
@@ -131,11 +127,7 @@ class Gl2Poly(LinComb):
     unit_key: tuple = ()
 
     def _key_mul(self, w1, w2):
-        ranks = tuple(_GL_RANK[l] for l in w1 + w2)
-        return [
-            (tuple(GL_LETTERS[r] for r in word), c)
-            for word, c in _gl_nf_raw(ranks).items()
-        ]
+        return _gl_nf(w1 + w2).items()
 
     @classmethod
     def gen(cls, i: int, j: int) -> "Gl2Poly":

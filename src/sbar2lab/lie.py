@@ -265,6 +265,10 @@ def scaling_twist(a: tuple, x: VectorField) -> VectorField:
 _AD_CAP = 64
 
 
+class NilpotencyGuardError(RuntimeError):
+    """An ad-expansion or inverse series exceeded its iteration cap (a bug)."""
+
+
 def unipotent_twist(c, x: VectorField) -> VectorField:
     """exp(c ad(t2 d/dt_1)) applied to x; the series is finite and guarded."""
     c = as_scalar(c)
@@ -281,4 +285,4 @@ def unipotent_twist(c, x: VectorField) -> VectorField:
         out = out + term * coeff
         k += 1
         if k > _AD_CAP:
-            raise RuntimeError("unipotent twist failed to terminate; this is a bug")
+            raise NilpotencyGuardError("unipotent twist failed to terminate; this is a bug")

@@ -35,7 +35,7 @@ class SuiteReport:
         self.suite = suite
         self.seed = seed
         self.engine_version = engine_version
-        self.cases = cases
+        self.cases = sorted(cases, key=lambda c: c.name)  # the one place the case order is decided
         self.wall_time_ms = wall_time_ms
 
     def summary(self) -> dict:
@@ -63,7 +63,7 @@ class SuiteReport:
                     "status": c.status,
                     "witness": c.witness,
                 }
-                for c in sorted(self.cases, key=lambda c: c.name)
+                for c in self.cases
             ],
             "summary": {
                 "pass": summary[PASS],
@@ -82,7 +82,7 @@ def emit_report(report: SuiteReport, fmt: str = "text", path: str | None = None)
         lines = [
             f"suite {report.suite}  (seed {report.seed}, engine {report.engine_version})",
         ]
-        for case in sorted(report.cases, key=lambda c: c.name):
+        for case in report.cases:
             lines.append(f"  [{case.status:>12}] {case.name}")
             if case.status != PASS and case.witness:
                 lines.append(f"                 witness: {json.dumps(case.witness, default=str)}")

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .base import Poly2, mtotal, run_scope
+from .base import Poly2, exponents, mtotal, run_scope
 from .centralizer import (
     H_GENERATORS,
     _beta_range,
@@ -29,6 +29,7 @@ from .centralizer import (
     y_basis_probe,
     y_element,
     y_generation_search,
+    y_indices,
     pi1,
 )
 from .enveloping import Loc, reduce_mod_I1
@@ -67,14 +68,12 @@ from .tmodule import (
 from .weyl import phi_hom_check
 
 LAMBDA_GRID = ((0, 0), (1, 0), (1, 1), (2, 0))
+#: the highest weights of the whittaker-dim and freeness cases
+WH_LAMBDAS = ((0, 0), (1, 0), (1, 1), (2, 0), (3, 1))
 
 
 def _letters(max_degree: int):
     return [D2] + [L_letter(alpha) for alpha in l_indices(-1, max_degree)]
-
-
-def _y_indices(max_degree: int):
-    return [alpha for alpha in l_indices(0, max_degree) if alpha != (0, 0)]
 
 
 def _fmt(idx) -> str:
@@ -294,11 +293,7 @@ def _suite_twist(max_degree: int, rng) -> list:
 
 
 def _suite_phi_hom(max_degree: int, rng) -> list:
-    polys = [
-        Poly2.monomial((b1, b2))
-        for b1 in range(max_degree + 1)
-        for b2 in range(max_degree + 1 - b1)
-    ]
+    polys = [Poly2.monomial(b) for b in sorted(exponents(max_degree))]  # b1-major, the pair order a failure reports
     lies = [Sbar({l: 1}) for l in _letters(max_degree)]
     gens = [("poly", p) for p in polys] + [("lie", x) for x in lies]
     buckets: dict[tuple, list] = {}
@@ -365,7 +360,7 @@ def _suite_action_axioms(max_degree: int, rng) -> list:
 
 def _suite_whittaker_dim(max_degree: int, rng) -> list:
     cases = []
-    for lam in ((0, 0), (1, 0), (1, 1), (2, 0), (3, 1)):
+    for lam in WH_LAMBDAS:
         expected = lam[0] - lam[1] + 1
         for deg in range(max_degree + 1):
 
@@ -389,7 +384,7 @@ def _suite_whittaker_dim(max_degree: int, rng) -> list:
 
 def _suite_freeness(max_degree: int, rng) -> list:
     cases = []
-    for lam in ((0, 0), (1, 0), (1, 1), (2, 0), (3, 1)):
+    for lam in WH_LAMBDAS:
 
         def thunk(lam=lam):
             report = uh_freeness_check(gl2_simple(lam), (1, 1), max_degree)
@@ -407,15 +402,11 @@ def _suite_freeness(max_degree: int, rng) -> list:
 
     def q1_thunk():
         span = EchelonSpan()
-        count = 0
-        cap = max_degree + 2
-        for m1 in range(cap + 1):
-            for m2 in range(cap + 1 - m1):
-                q = reduce_mod_I1(d_monomial((m1, m2)))
-                span.add(dict(q.terms))
-                count += 1
-        status = PASS if span.rank == count else FAIL
-        return status, {"rank": span.rank, "expected": count}
+        window = exponents(max_degree + 2)
+        for m in window:
+            span.add(dict(reduce_mod_I1(d_monomial(m)).terms))
+        status = PASS if span.rank == len(window) else FAIL
+        return status, {"rank": span.rank, "expected": len(window)}
 
     cases.append(
         (
@@ -492,7 +483,7 @@ def _suite_sigma(max_degree: int, rng) -> list:
 
 def _suite_y_centralizer(max_degree: int, rng) -> list:
     cases = []
-    for alpha in _y_indices(max_degree):
+    for alpha in y_indices(max_degree):
 
         def thunk(alpha=alpha):
             comm = centralizer_check(alpha)
@@ -510,13 +501,13 @@ def _suite_y_centralizer(max_degree: int, rng) -> list:
 
     def inverse_partials():
         probes = [Loc.partial(1, -1), Loc.partial(2, -1)]
-        for alpha in _y_indices(min(max_degree, 3)):
+        for alpha in y_indices(min(max_degree, 3)):
             y = y_element(alpha)
             for probe in probes:
                 comm = probe * y - y * probe
                 if not comm.is_zero():
                     return FAIL, {"alpha": list(alpha), "commutator": str(comm)}
-        return PASS, {"indices": len(_y_indices(min(max_degree, 3)))}
+        return PASS, {"indices": len(y_indices(min(max_degree, 3)))}
 
     cases.append(
         (
@@ -548,7 +539,7 @@ def _suite_y_centralizer(max_degree: int, rng) -> list:
 
 def _suite_g_recurrence(max_degree: int, rng) -> list:
     cases = []
-    for alpha in _y_indices(max_degree):
+    for alpha in y_indices(max_degree):
 
         def thunk(alpha=alpha):
             n = mtotal(alpha)
@@ -584,7 +575,7 @@ def _suite_g_recurrence(max_degree: int, rng) -> list:
 
 def _suite_xi_whittaker(max_degree: int, rng) -> list:
     cases = []
-    for alpha in _y_indices(max_degree):
+    for alpha in y_indices(max_degree):
 
         def thunk(alpha=alpha):
             d1_, d2_ = whittaker_stability_defect(alpha)
@@ -619,7 +610,7 @@ def _suite_pi1_compare(max_degree: int, rng) -> list:
         "pi1-display{}",
         "pi1(Y{})",
         {alpha: text for alpha, (text, _) in displays.items()},
-        lambda alpha: pi1(alpha)[0],
+        pi1,
         lambda text: images[text].normalized(),
     )
     for alpha in H_GENERATORS:
@@ -654,7 +645,7 @@ def _suite_y_basis(max_degree: int, rng) -> list:
     )
 
     def window():
-        report = y_basis_probe(_y_indices(1), 2)
+        report = y_basis_probe(y_indices(1), 2)
         return (PASS, report) if report["full"] else (FAIL, report)
 
     cases.append(
@@ -790,4 +781,4 @@ def run_suite(name: str, max_degree: int | None = None, seed: int = 0) -> SuiteR
             status, witness = thunk()
             cases.append(Case(case_name, anchor, provenance, status, witness))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return SuiteReport(name, seed, __version__, sorted(cases, key=lambda c: c.name), elapsed_ms)
+    return SuiteReport(name, seed, __version__, cases, elapsed_ms)

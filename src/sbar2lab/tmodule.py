@@ -25,9 +25,10 @@ every letter product, and ``pairs_on`` sums those products over the ids.
 The rank probes (``closure_probe``, ``joint_kernel``, ``uh_freeness_check``)
 fetch their letters' kernels once per call and apply them with
 ``_act_terms`` on plain term dicts, which go straight into ``EchelonSpan``.
-Degree-lowering operators act exactly; the closure probe closes a span over
-its own rows inside a degree window and reports dimensions only where the
-cap cannot have discarded contributions.
+The degree slices (``slice_keys``) and the random seed window take their
+exponents from ``base.exponents``. Degree-lowering operators act exactly;
+the closure probe closes a span over its own rows inside a degree window and
+reports dimensions only where the cap cannot have discarded contributions.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .base import (
-    E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, linear, madd, msub, mtotal, run_memo, terms_str,
+    E1, E2, LinComb, MultiIndex, Poly2, accumulate, as_scalar, comb0, exponents, linear, madd, msub, mtotal, run_memo,
+    terms_str,
 )
 from .enveloping import Loc, Word, loc_act
 from .gl2 import Gl2Module, pi_letter
@@ -240,23 +242,17 @@ def random_seed_vector(module: Gl2Module, a, rng) -> TVector:
     degrees <= 2, drawn from ``rng`` in a fixed key order."""
     terms = {}
     while not terms:
-        for b1 in range(3):
-            for b2 in range(3 - b1):
-                for k in range(module.dim):
-                    c = rng.randrange(-2, 3)
-                    if c:
-                        terms[((b1, b2), k)] = c
+        for beta in sorted(exponents(2)):  # b1-major, the order the draws were recorded in
+            for k in range(module.dim):
+                c = rng.randrange(-2, 3)
+                if c:
+                    terms[beta, k] = c
     return TVector(terms, a=a, module=module)
 
 
 def slice_keys(module: Gl2Module, degree: int) -> list[TKey]:
-    keys = []
-    for d in range(degree + 1):
-        for b1 in range(d + 1):
-            beta = (b1, d - b1)
-            for k in range(module.dim):
-                keys.append((beta, k))
-    return keys
+    """The basis keys of polynomial degree <= ``degree``, in ``exponents`` order."""
+    return [(beta, k) for beta in exponents(degree) for k in range(module.dim)]
 
 
 def whittaker_space(module: Gl2Module, a, degree: int) -> list[TVector]:

@@ -183,14 +183,8 @@ def _tensor_key_bracket(k1: TensorKey, k2: TensorKey):
     return out
 
 
-def phi_t(beta: MultiIndex) -> TensorAlg:
-    """phi of a polynomial generator."""
-    if not is_nonneg(beta):
-        raise ValueError(f"polynomial exponent must be nonnegative, got {beta}")
-    return TensorAlg.from_weyl(Weyl.monomial(beta, (0, 0)))
-
-
 def phi_poly(p: Poly2) -> TensorAlg:
+    """phi of a polynomial in t1, t2: p x 1."""
     return TensorAlg.from_weyl(Weyl.from_poly(p))
 
 

@@ -4,11 +4,22 @@ from fractions import Fraction
 import pytest
 
 from sbar2lab import base
-from sbar2lab.base import LinComb, Poly2, as_scalar, bilinear, binom2, comb0, gbinom, linear, qdiv, run_memo, run_scope
+from sbar2lab.base import (
+    LinComb, Poly2, as_scalar, bilinear, binom2, comb0, exponents, gbinom, linear, qdiv, run_memo, run_scope,
+)
 
 
 def p(terms):
     return Poly2(terms)
+
+
+def test_exponents_is_the_degree_window_in_order():
+    # a brute-force filter over a box that holds negative exponents
+    for d in range(7):
+        box = [(b1, b2) for b1 in range(-2, d + 3) for b2 in range(-2, d + 3)]
+        window = [b for b in box if b[0] >= 0 and b[1] >= 0 and b[0] + b[1] <= d]
+        assert exponents(d) == sorted(window, key=lambda b: (b[0] + b[1], b[0]))
+    assert exponents(-1) == []
 
 
 def test_poly_mul_examples():

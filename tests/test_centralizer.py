@@ -15,6 +15,7 @@ from sbar2lab.centralizer import (
     dpoly_to_uenv,
     g0_poly,
     g_poly,
+    is_y_index,
     pi1,
     wh_action_compare,
     whittaker_stability_defect,
@@ -26,7 +27,7 @@ from sbar2lab.centralizer import (
 )
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import eval_loc, parse_element
-from sbar2lab.gl2 import Gl2Poly
+from sbar2lab.gl2 import Gl2Poly, gl2_simple
 from sbar2lab.suites import run_suite
 from oracles import power
 
@@ -91,6 +92,18 @@ def test_xi_consistency_and_whittaker_stability():
         assert d1_.is_zero() and d2_.is_zero()
 
 
+def test_y_indices_match_is_y_index():
+    # brute force over a grid that holds the corner (-1,-1), the origin and
+    # indices below Z^2_{>=-1}
+    grid = [(a1, a2) for a1 in range(-3, 7) for a2 in range(-3, 7)]
+    assert not is_y_index((-1, -1)) and not is_y_index((0, 0)) and is_y_index((-1, 1))
+    for hi in range(-2, 5):
+        expected = sorted(
+            (a for a in grid if is_y_index(a) and a[0] + a[1] <= hi), key=lambda a: (a[0] + a[1], a[0])
+        )
+        assert centralizer.y_indices(hi) == expected
+
+
 def test_pi1_displays():
     G = Gl2Poly.gen
     expected = {
@@ -100,10 +113,8 @@ def test_pi1_displays():
         (0, 1): G(2, 1) * G(1, 1) * -2 + G(2, 2) * G(2, 2) + G(2, 2),
     }
     for alpha, expect in expected.items():
-        formal, matrix = pi1(alpha)
-        assert formal == expect.normalized()
-        assert matrix is None
-    _, matrix = pi1((1, 0), (1, 0))
+        assert pi1(alpha) == expect.normalized()
+    matrix = pi1((1, 0)).evaluate(gl2_simple((1, 0)))
     assert matrix == ((Fraction(-2), Fraction(2)), (Fraction(0), Fraction(0)))
 
 

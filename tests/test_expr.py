@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sbar2lab.base import Poly2
 from sbar2lab.centralizer import y_element
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import (
@@ -15,7 +16,7 @@ from sbar2lab.expr import (
 )
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.tmodule import TVector
-from sbar2lab.weyl import phi_L, phi_d2, phi_t
+from sbar2lab.weyl import phi_L, phi_d2, phi_poly
 
 
 def test_parse_atoms():
@@ -91,7 +92,7 @@ def test_eval_loc():
 
 
 def test_eval_phi():
-    assert eval_phi(parse_element("t(2,1)")) == phi_t((2, 1))
+    assert eval_phi(parse_element("t(2,1)")) == phi_poly(Poly2.monomial((2, 1)))
     assert eval_phi(parse_element("L(1,0)")) == phi_L((1, 0))
     # the defining Weyl relation survives the map
     got = eval_phi(parse_element("p1*t1 - t1*p1"))

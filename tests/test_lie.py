@@ -11,6 +11,7 @@ from sbar2lab.base import Poly2
 from sbar2lab.lie import (
     D2,
     L_letter,
+    NilpotencyGuardError,
     Sbar,
     VectorField,
     apply_to_poly,
@@ -188,6 +189,14 @@ def test_unipotent_twist_examples():
     assert unipotent_twist(c, VectorField.partial(1)) == VectorField.partial(1)
     assert unipotent_twist(c, VectorField.partial(2)) == VectorField.partial(2) + VectorField.partial(1)
     assert unipotent_twist(c, VectorField.euler(2)) == VectorField.euler(2) + VectorField.monomial((0, 1), 1)
+
+
+def test_unipotent_twist_guard_raises_the_nilpotency_error(monkeypatch):
+    # every iteration guard raises one type: with a cap of 1 the shear series
+    # of d/dt_2, which needs one bracket, exceeds it
+    monkeypatch.setattr(lie, "_AD_CAP", 1)
+    with pytest.raises(NilpotencyGuardError):
+        unipotent_twist(-1, VectorField.partial(2))
 
 
 @pytest.mark.parametrize("twist,inverse", [

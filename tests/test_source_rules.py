@@ -454,3 +454,60 @@ def test_phi_is_written_out_once():
     assert _calls(_function("gl2.py", "pi_env"), "letter_degree") == []
     planted = "def f(alpha, j):\n    for i in (2, 1):\n        if j not in (1, 2):\n            g = [(alpha, (2, 1), 1)]\n"
     assert _gl_pair_literals(ast.parse(planted)) == [4]
+
+
+def _is_range(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "range"
+
+
+def _nested_range_bounds(tree) -> list:
+    """Lines of ``range(...)`` calls whose arguments read the variable of an
+    enclosing loop over a range, statement or comprehension: a hand-written
+    triangle such as ``for b1 in range(d + 1): for b2 in range(d + 1 - b1)``."""
+    loops = []  # (loop variables, nodes in the loop's scope)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.For) and _is_range(node.iter):
+            loops.append((node.target, node.body))
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            elts = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            for i, gen in enumerate(node.generators):
+                if _is_range(gen.iter):
+                    loops.append((gen.target, node.generators[i + 1:] + elts))
+    lines = set()
+    for target, scope in loops:
+        variables = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        for part in scope:
+            for node in ast.walk(part):
+                if _is_range(node) and any(
+                    isinstance(n, ast.Name) and n.id in variables for arg in node.args for n in ast.walk(arg)
+                ):
+                    lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_exponent_windows_are_spelled_once():
+    # the exponent window b in Z_+^2, |b| <= d is base.exponents and the
+    # L-index window is lie.l_indices; uh_freeness_check keeps its own
+    # triangle because it reuses each d2 power across the m1 loop
+    allowed = {("base.py", "exponents"), ("lie.py", "l_indices"), ("tmodule.py", "uh_freeness_check")}
+    sites = []
+    for name, tree in MODULES.items():
+        spans = [_function(name, fn) for module, fn in allowed if module == name]
+        exempt = {line for node in spans for line in range(node.lineno, node.end_lineno + 1)}
+        sites += [(name, line) for line in _nested_range_bounds(tree) if line not in exempt]
+    assert sites == []
+    for module, fn in allowed:
+        assert _nested_range_bounds(_function(module, fn))
+    planted = (
+        "def f(d):\n    for b1 in range(d + 1):\n        for b2 in range(d + 1 - b1):\n            pass\n"
+        "    return [(i, j) for i in range(3) for j in range(3 - i)] + [k for k in range(d)]\n"
+    )
+    assert _nested_range_bounds(ast.parse(planted)) == [3, 5]
+
+
+def test_tail_split_is_read_only_through_loc_from_uenv():
+    # the localized element, the one-word entries and the residue all take
+    # a word's (head, p-exponent, sign) split from Loc.from_uenv
+    sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "split_tail_partials")]
+    inside = _calls(_method("enveloping.py", "Loc", "from_uenv"), "split_tail_partials")
+    assert inside and sites == [("enveloping.py", node.lineno) for node in inside]

@@ -17,7 +17,7 @@ from sbar2lab.weyl import (
     phi_d2,
     phi_hom_check,
     phi_letter,
-    phi_t,
+    phi_poly,
 )
 from sbar2lab.report import FAIL
 from sbar2lab.suites import run_suite
@@ -77,7 +77,7 @@ def test_a2a_is_a_module():
 
 
 def test_phi_generator_images():
-    assert phi_t((2, 1)) == TensorAlg({(((2, 1), (0, 0)), ()): Fraction(1)})
+    assert phi_poly(Poly2.monomial((2, 1))) == TensorAlg({(((2, 1), (0, 0)), ()): Fraction(1)})
     expect = TensorAlg.from_weyl(Weyl.from_vf(VectorField.euler(2))) + TensorAlg.from_env(UEnv.d2())
     assert phi_d2() == expect
     got = phi_L((1, 0))
