@@ -24,6 +24,7 @@ from sbar2lab.centralizer import (
     y_basis_probe,
     y_element,
     y_generation_search,
+    y_indices,
 )
 from sbar2lab.enveloping import Loc, UEnv
 from sbar2lab.expr import eval_loc, parse_element
@@ -44,15 +45,6 @@ XI_DISPLAYS = {
     (1, 0): "L(1,0) - L(1,-1)*d2 - d1^2 - d1",
     (0, 1): "L(0,1) - L(-1,1)*d1 + d2^2 + d2",
 }
-
-
-def y_indices(max_degree):
-    return [
-        (a1, a2)
-        for a1 in range(-1, max_degree + 2)
-        for a2 in range(-1, max_degree + 2)
-        if (a1, a2) != (0, 0) and a1 >= -1 and a2 >= -1 and 0 <= a1 + a2 <= max_degree
-    ]
 
 
 def test_g_polynomials():
@@ -101,7 +93,7 @@ def test_y_indices_match_is_y_index():
         expected = sorted(
             (a for a in grid if is_y_index(a) and a[0] + a[1] <= hi), key=lambda a: (a[0] + a[1], a[0])
         )
-        assert centralizer.y_indices(hi) == expected
+        assert y_indices(hi) == expected
 
 
 def test_pi1_displays():
