@@ -116,6 +116,7 @@ def _run(args) -> int:
 
         if args.command == "ygen":
             alpha = args.alpha
+            module = None if args.lam is None else gl2_simple(args.lam)  # a bad weight exits before any output
             if not (args.xi or args.pi1):
                 print(y_element(alpha))
                 return 0
@@ -123,7 +124,7 @@ def _run(args) -> int:
                 print(xi_y(alpha))
             if args.pi1:
                 formal = pi1(alpha)
-                matrix = () if args.lam is None else formal.evaluate(gl2_simple(args.lam))
+                matrix = () if module is None else formal.evaluate(module)
                 print(formal)
                 for row in matrix:
                     print("  [" + ", ".join(str(c) for c in row) + "]")

@@ -8,6 +8,7 @@ seeded with the reported seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -84,20 +85,43 @@ def _parse_loc(text: str) -> Loc:
     return eval_loc(parse_element(text))
 
 
+def _full(report: dict) -> tuple:
+    return (PASS if report["full"] else FAIL), report
+
+
+def _cases(anchor: str, provenance: str, check, entries) -> list:
+    """One case per ``(name, *args)`` entry, whose thunk is ``check(*args)``."""
+    return [(name, anchor, provenance, functools.partial(check, *args)) for name, *args in entries]
+
+
+def _bucketed(name, anchor: str, provenance: str, check, items, key) -> list:
+    """One case per value k of ``key`` over ``items``, in sorted key order: it
+    is named ``name(k)`` and its thunk is ``check`` on the items with key k."""
+    buckets: dict = {}
+    for item in items:
+        buckets.setdefault(key(item), []).append(item)
+    return _cases(anchor, provenance, check, [(name(k), bucket) for k, bucket in sorted(buckets.items())])
+
+
 def _display_cases(name: str, lhs: str, texts: dict, value, expected) -> list:
     """Display-regression cases, one per ``alpha: text`` entry: ``value(alpha)``
     must equal ``expected(text)``. ``name`` and ``lhs`` are templates for the
     formatted index; the anchor reads ``lhs = text``."""
-    cases = []
-    for alpha, text in sorted(texts.items()):
 
-        def thunk(alpha=alpha, text=text):
-            got = value(alpha)
-            return (PASS, {}) if got == expected(text) else (FAIL, {"got": str(got), "expected": text})
+    def check(alpha, text):
+        got = value(alpha)
+        return (PASS, {}) if got == expected(text) else (FAIL, {"got": str(got), "expected": text})
 
-        idx = _fmt(alpha)
-        cases.append((name.format(idx), f"{lhs.format(idx)} = {text}", "display-regression", thunk))
-    return cases
+    return [
+        case
+        for alpha, text in sorted(texts.items())
+        for case in _cases(
+            f"{lhs.format(_fmt(alpha))} = {text}",
+            "display-regression",
+            check,
+            [(name.format(_fmt(alpha)), alpha, text)],
+        )
+    ]
 
 
 # --- suite builders ---------------------------------------------------------
@@ -105,88 +129,63 @@ def _display_cases(name: str, lhs: str, texts: dict, value, expected) -> list:
 # returns (status, witness).
 
 def _suite_jacobi(max_degree: int, rng) -> list:
-    letters = _letters(max_degree)
-    buckets: dict[tuple, list] = {}
-    for trio in itertools.combinations_with_replacement(letters, 3):
-        key = tuple(sorted(letter_degree(l) for l in trio))
-        buckets.setdefault(key, []).append(trio)
+    def check(trios):
+        # per case, each letter's element and field and each inner bracket once
+        sb = {l: Sbar({l: 1}) for l in {l for trio in trios for l in trio}}
+        vf = {l: sbar_to_vf(s) for l, s in sb.items()}
+        inner: dict = {}  # (y, z) -> ([y,z] on letters, [y,z] on fields)
+        for x, y, z in trios:
+            for p, q in ((y, z), (z, x), (x, y)):
+                if (p, q) not in inner:
+                    inner[p, q] = (sbar_bracket(sb[p], sb[q]), vf_bracket(vf[p], vf[q]))
+            for r, (route, bracket, elem) in enumerate((("letters", sbar_bracket, sb), ("fields", vf_bracket, vf))):
+                total = (
+                    bracket(elem[x], inner[y, z][r])
+                    + bracket(elem[y], inner[z, x][r])
+                    + bracket(elem[z], inner[x, y][r])
+                )
+                if not total.is_zero():
+                    return FAIL, {"triple": [str(sb[x]), str(sb[y]), str(sb[z])], "route": route}
+        return PASS, {"triples": len(trios)}
 
-    def make(trios):
-        def thunk():
-            # per case, each letter's element and field and each inner bracket once
-            sb = {l: Sbar({l: 1}) for l in {l for trio in trios for l in trio}}
-            vf = {l: sbar_to_vf(s) for l, s in sb.items()}
-            inner: dict = {}  # (y, z) -> ([y,z] on letters, [y,z] on fields)
-            for x, y, z in trios:
-                for p, q in ((y, z), (z, x), (x, y)):
-                    if (p, q) not in inner:
-                        inner[p, q] = (sbar_bracket(sb[p], sb[q]), vf_bracket(vf[p], vf[q]))
-                for r, (route, bracket, elem) in enumerate((("letters", sbar_bracket, sb), ("fields", vf_bracket, vf))):
-                    total = (
-                        bracket(elem[x], inner[y, z][r])
-                        + bracket(elem[y], inner[z, x][r])
-                        + bracket(elem[z], inner[x, y][r])
-                    )
-                    if not total.is_zero():
-                        return FAIL, {"triple": [str(sb[x]), str(sb[y]), str(sb[z])], "route": route}
-            return PASS, {"triples": len(trios)}
-
-        return thunk
-
-    return [
-        (
-            f"jacobi-degrees{key}",
-            "[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on both bracket routes",
-            "axiom-sweep",
-            make(trios),
-        )
-        for key, trios in sorted(buckets.items())
-    ]
+    return _bucketed(
+        "jacobi-degrees{}".format,
+        "[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on both bracket routes",
+        "axiom-sweep",
+        check,
+        itertools.combinations_with_replacement(_letters(max_degree), 3),
+        lambda trio: tuple(sorted(letter_degree(l) for l in trio)),
+    )
 
 
 def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
-    letters = _letters(max_degree)
-    buckets: dict[tuple, list] = {}
-    for x, y in itertools.combinations_with_replacement(letters, 2):
-        key = tuple(sorted((letter_degree(x), letter_degree(y))))
-        buckets.setdefault(key, []).append((x, y))
+    def check(pairs):
+        for x, y in pairs:
+            sx, sy = Sbar({x: 1}), Sbar({y: 1})
+            via_letters = sbar_to_vf(sbar_bracket(sx, sy))
+            via_fields = vf_bracket(sbar_to_vf(sx), sbar_to_vf(sy))
+            if via_letters != via_fields:
+                return FAIL, {"pair": [str(sx), str(sy)]}
+            if not via_fields.is_zero() and vf_to_sbar(via_fields) != sbar_bracket(sx, sy):
+                return FAIL, {"pair": [str(sx), str(sy)], "stage": "conversion"}
+        return PASS, {"pairs": len(pairs)}
 
-    def make(pairs):
-        def thunk():
-            for x, y in pairs:
-                sx, sy = Sbar({x: 1}), Sbar({y: 1})
-                via_letters = sbar_to_vf(sbar_bracket(sx, sy))
-                via_fields = vf_bracket(sbar_to_vf(sx), sbar_to_vf(sy))
-                if via_letters != via_fields:
-                    return FAIL, {"pair": [str(sx), str(sy)]}
-                if not via_fields.is_zero() and vf_to_sbar(via_fields) != sbar_bracket(sx, sy):
-                    return FAIL, {"pair": [str(sx), str(sy)], "stage": "conversion"}
-            return PASS, {"pairs": len(pairs)}
-
-        return thunk
-
-    return [
-        (
-            f"crosscheck-degrees{key}",
-            "determinant structure constants agree with the field bracket",
-            "cross-check",
-            make(pairs),
-        )
-        for key, pairs in sorted(buckets.items())
-    ]
+    return _bucketed(
+        "crosscheck-degrees{}".format,
+        "determinant structure constants agree with the field bracket",
+        "cross-check",
+        check,
+        itertools.combinations_with_replacement(_letters(max_degree), 2),
+        lambda pair: tuple(sorted(letter_degree(l) for l in pair)),
+    )
 
 
 def _suite_divergence(max_degree: int, rng) -> list:
-    cases = []
-    for alpha in l_indices(-1, max_degree):
-
-        def thunk(alpha=alpha):
-            div = divergence(l_basis(alpha))
-            if div.is_zero():
-                return PASS, {}
-            return FAIL, {"divergence": str(div)}
-
-        cases.append((f"div-L{_fmt(alpha)}", "div(L_a) = 0", "axiom-sweep", thunk))
+    def check(alpha):
+        div = divergence(l_basis(alpha))
+        if div.is_zero():
+            return PASS, {}
+        return FAIL, {"divergence": str(div)}
 
     def euler_thunk():
         div = divergence(sbar_to_vf(Sbar.d()))
@@ -194,12 +193,18 @@ def _suite_divergence(max_degree: int, rng) -> list:
             return PASS, {}
         return FAIL, {"divergence": str(div)}
 
-    cases.append(("div-euler", "div(d1 + d2) = 2", "derived-example", euler_thunk))
-    return cases
+    return [
+        *_cases(
+            "div(L_a) = 0",
+            "axiom-sweep",
+            check,
+            [(f"div-L{_fmt(alpha)}", alpha) for alpha in l_indices(-1, max_degree)],
+        ),
+        ("div-euler", "div(d1 + d2) = 2", "derived-example", euler_thunk),
+    ]
 
 
 def _suite_twist(max_degree: int, rng) -> list:
-    cases = []
     letters = _letters(min(max_degree, 2))
     scale = (2, 3)
     inv_scale = (Fraction(1, 2), Fraction(1, 3))
@@ -215,8 +220,6 @@ def _suite_twist(max_degree: int, rng) -> list:
             return FAIL, {"input": "L(1,-1)"}
         return PASS, {}
 
-    cases.append(("scaling-examples", "p_i -> a_i p_i, d_i fixed", "derived-example", ex_scaling))
-
     def ex_unipotent():
         if unipotent_twist(-1, VectorField.partial(1)) != VectorField.partial(1):
             return FAIL, {"input": "p1"}
@@ -228,36 +231,14 @@ def _suite_twist(max_degree: int, rng) -> list:
             return FAIL, {"input": "d2"}
         return PASS, {}
 
-    cases.append(("unipotent-examples", "exp(c ad(t2 p1)) on constant fields", "derived-example", ex_unipotent))
-
-    def make_auto(twist, name):
-        def thunk():
-            for x, y in itertools.combinations(letters, 2):
-                vx, vy = sbar_to_vf(Sbar({x: 1})), sbar_to_vf(Sbar({y: 1}))
-                lhs = twist(vf_bracket(vx, vy))
-                rhs = vf_bracket(twist(vx), twist(vy))
-                if lhs != rhs:
-                    return FAIL, {"pair": [str(vx), str(vy)], "twist": name}
-            return PASS, {"pairs": len(letters) * (len(letters) - 1) // 2}
-
-        return thunk
-
-    cases.append(
-        (
-            "scaling-automorphism",
-            "twist([x,y]) = [twist(x), twist(y)]",
-            "axiom-sweep",
-            make_auto(lambda v: scaling_twist(scale, v), "scaling"),
-        )
-    )
-    cases.append(
-        (
-            "unipotent-automorphism",
-            "twist([x,y]) = [twist(x), twist(y)]",
-            "axiom-sweep",
-            make_auto(lambda v: unipotent_twist(-1, v), "unipotent"),
-        )
-    )
+    def automorphism(twist, name):
+        for x, y in itertools.combinations(letters, 2):
+            vx, vy = sbar_to_vf(Sbar({x: 1})), sbar_to_vf(Sbar({y: 1}))
+            lhs = twist(vf_bracket(vx, vy))
+            rhs = vf_bracket(twist(vx), twist(vy))
+            if lhs != rhs:
+                return FAIL, {"pair": [str(vx), str(vy)], "twist": name}
+        return PASS, {"pairs": len(letters) * (len(letters) - 1) // 2}
 
     def inverses():
         for letter in letters:
@@ -267,8 +248,6 @@ def _suite_twist(max_degree: int, rng) -> list:
             if unipotent_twist(1, unipotent_twist(-1, v)) != v:
                 return FAIL, {"letter": str(letter), "twist": "unipotent"}
         return PASS, {}
-
-    cases.append(("twist-inverses", "twist(a) o twist(1/a) = id", "axiom-sweep", inverses))
 
     def rep_compat():
         module = gl2_simple((1, 0))
@@ -281,124 +260,103 @@ def _suite_twist(max_degree: int, rng) -> list:
             return PASS, {"dim": len(kernel)}
         return FAIL, {"dim": len(kernel), "expected": module.dim}
 
-    cases.append(
+    return [
+        ("scaling-examples", "p_i -> a_i p_i, d_i fixed", "derived-example", ex_scaling),
+        ("unipotent-examples", "exp(c ad(t2 p1)) on constant fields", "derived-example", ex_unipotent),
+        *_cases(
+            "twist([x,y]) = [twist(x), twist(y)]",
+            "axiom-sweep",
+            automorphism,
+            [
+                ("scaling-automorphism", lambda v: scaling_twist(scale, v), "scaling"),
+                ("unipotent-automorphism", lambda v: unipotent_twist(-1, v), "unipotent"),
+            ],
+        ),
+        ("twist-inverses", "twist(a) o twist(1/a) = id", "axiom-sweep", inverses),
         (
             "twisted-whittaker-dim",
             "twisting the singular-type module matches the nonsingular count",
             "cross-check",
             rep_compat,
-        )
-    )
-    return cases
+        ),
+    ]
 
 
 def _suite_phi_hom(max_degree: int, rng) -> list:
-    polys = [Poly2.monomial(b) for b in sorted(exponents(max_degree))]  # b1-major, the pair order a failure reports
-    lies = [Sbar({l: 1}) for l in _letters(max_degree)]
-    gens = [("poly", p) for p in polys] + [("lie", x) for x in lies]
-    buckets: dict[tuple, list] = {}
-    for (kx, x), (ky, y) in itertools.product(gens, repeat=2):
-        dx = x.degree() if kx == "poly" else letter_degree(next(iter(x.terms)))
-        dy = y.degree() if ky == "poly" else letter_degree(next(iter(y.terms)))
-        buckets.setdefault((kx, ky, dx, dy), []).append((x, y))
+    # (kind, degree, generator); the polynomials b1-major, the pair order a failure reports
+    gens = [("poly", mtotal(b), Poly2.monomial(b)) for b in sorted(exponents(max_degree))]
+    gens += [("lie", letter_degree(l), Sbar({l: 1})) for l in _letters(max_degree)]
 
-    def make(pairs):
-        def thunk():
-            for x, y in pairs:
-                if not phi_hom_check(x, y).is_zero():
-                    return FAIL, {"pair": [str(x), str(y)]}
-            return PASS, {"pairs": len(pairs)}
+    def check(pairs):
+        for (_, _, x), (_, _, y) in pairs:
+            if not phi_hom_check(x, y).is_zero():
+                return FAIL, {"pair": [str(x), str(y)]}
+        return PASS, {"pairs": len(pairs)}
 
-        return thunk
-
-    return [
-        (
-            f"hom-{kx}{dx}-{ky}{dy}",
-            "the generator map preserves all defining relations",
-            "axiom-sweep",
-            make(pairs),
-        )
-        for (kx, ky, dx, dy), pairs in sorted(buckets.items())
-    ]
+    return _bucketed(
+        lambda key: f"hom-{key[0]}{key[2]}-{key[1]}{key[3]}",
+        "the generator map preserves all defining relations",
+        "axiom-sweep",
+        check,
+        itertools.product(gens, repeat=2),
+        lambda pair: (pair[0][0], pair[1][0], pair[0][1], pair[1][1]),  # (kind x, kind y, degree x, degree y)
+    )
 
 
 def _suite_action_axioms(max_degree: int, rng) -> list:
     letters = _letters(max_degree)
-    cases = []
-    for lam in ((1, 0), (1, 1), (2, 0)):
-        for a in ((1, 1), (1, 0), (0, 0)):
 
-            def thunk(lam=lam, a=a):
-                module = gl2_simple(lam)
-                images = BasisImages(module, a)
-                keys = slice_keys(module, 4)
-                checked = 0
-                for x, y in itertools.combinations(letters, 2):
-                    # x(y e_key) - y(x e_key) - [x,y] e_key, the bracket's
-                    # letters as (None, z, -c) singles
-                    bracket = sbar_bracket(Sbar({x: 1}), Sbar({y: 1}))
-                    terms = [(x, y, 1), (y, x, -1)] + [(None, z, -c) for z, c in bracket.terms.items()]
-                    for key in keys:
-                        if images.pairs_on(terms, key):
-                            return FAIL, {
-                                "pair": [str(Sbar({x: 1})), str(Sbar({y: 1}))],
-                                "vector": str(TVector({key: 1}, a=a, module=module)),
-                            }
-                        checked += 1
-                return PASS, {"checked": checked}
+    def check(lam, a):
+        module = gl2_simple(lam)
+        images = BasisImages(module, a)
+        keys = slice_keys(module, 4)
+        checked = 0
+        for x, y in itertools.combinations(letters, 2):
+            # x(y e_key) - y(x e_key) - [x,y] e_key, the bracket's
+            # letters as (None, z, -c) singles
+            bracket = sbar_bracket(Sbar({x: 1}), Sbar({y: 1}))
+            terms = [(x, y, 1), (y, x, -1)] + [(None, z, -c) for z, c in bracket.terms.items()]
+            for key in keys:
+                if images.pairs_on(terms, key):
+                    return FAIL, {
+                        "pair": [str(Sbar({x: 1})), str(Sbar({y: 1}))],
+                        "vector": str(TVector({key: 1}, a=a, module=module)),
+                    }
+                checked += 1
+        return PASS, {"checked": checked}
 
-            cases.append(
-                (
-                    f"axiom-lam{_fmt(lam)}-a{_fmt(a)}",
-                    "x(yw) - y(xw) = [x,y]w on the tensor module",
-                    "axiom-sweep",
-                    thunk,
-                )
-            )
-    return cases
+    return _cases(
+        "x(yw) - y(xw) = [x,y]w on the tensor module",
+        "axiom-sweep",
+        check,
+        [
+            (f"axiom-lam{_fmt(lam)}-a{_fmt(a)}", lam, a)
+            for lam in ((1, 0), (1, 1), (2, 0))
+            for a in ((1, 1), (1, 0), (0, 0))
+        ],
+    )
 
 
 def _suite_whittaker_dim(max_degree: int, rng) -> list:
-    cases = []
-    for lam in WH_LAMBDAS:
+    def check(lam, deg):
         expected = lam[0] - lam[1] + 1
-        for deg in range(max_degree + 1):
+        module = gl2_simple(lam)
+        basis = whittaker_space(module, (1, 1), deg)
+        if len(basis) == expected:
+            return PASS, {"dim": len(basis)}
+        return FAIL, {"dim": len(basis), "expected": expected}
 
-            def thunk(lam=lam, deg=deg, expected=expected):
-                module = gl2_simple(lam)
-                basis = whittaker_space(module, (1, 1), deg)
-                if len(basis) == expected:
-                    return PASS, {"dim": len(basis)}
-                return FAIL, {"dim": len(basis), "expected": expected}
-
-            cases.append(
-                (
-                    f"whdim-lam{_fmt(lam)}-deg{deg}",
-                    "dim Wh(T) = l1 - l2 + 1, independent of truncation",
-                    "rank-computation",
-                    thunk,
-                )
-            )
-    return cases
+    return _cases(
+        "dim Wh(T) = l1 - l2 + 1, independent of truncation",
+        "rank-computation",
+        check,
+        [(f"whdim-lam{_fmt(lam)}-deg{deg}", lam, deg) for lam in WH_LAMBDAS for deg in range(max_degree + 1)],
+    )
 
 
 def _suite_freeness(max_degree: int, rng) -> list:
-    cases = []
-    for lam in WH_LAMBDAS:
-
-        def thunk(lam=lam):
-            report = uh_freeness_check(gl2_simple(lam), (1, 1), max_degree)
-            status = PASS if report["full"] else FAIL
-            return status, report
-
-        cases.append(
-            (
-                f"freeness-T-lam{_fmt(lam)}",
-                "the Cartan translates of the constant vectors are independent",
-                "rank-computation",
-                thunk,
-            )
-        )
+    def check(lam):
+        return _full(uh_freeness_check(gl2_simple(lam), (1, 1), max_degree))
 
     def q1_thunk():
         span = EchelonSpan()
@@ -408,15 +366,20 @@ def _suite_freeness(max_degree: int, rng) -> list:
         status = PASS if span.rank == len(window) else FAIL
         return status, {"rank": span.rank, "expected": len(window)}
 
-    cases.append(
+    return [
+        *_cases(
+            "the Cartan translates of the constant vectors are independent",
+            "rank-computation",
+            check,
+            [(f"freeness-T-lam{_fmt(lam)}", lam) for lam in WH_LAMBDAS],
+        ),
         (
             "freeness-Q1",
             "the Cartan monomial images form a basis window in the induced module",
             "rank-computation",
             q1_thunk,
-        )
-    )
-    return cases
+        ),
+    ]
 
 
 def _suite_sigma(max_degree: int, rng) -> list:
@@ -427,12 +390,10 @@ def _suite_sigma(max_degree: int, rng) -> list:
     def search():
         module = gl2_simple(lam)
         a = (0, 0)
-        indices = [
-            (a1, a2)
-            for a1 in range(-1, index_cap + 2)
-            for a2 in range(-1, index_cap + 2)
-            if a1 + a2 <= index_cap
-        ]
+        # l_indices plus the corner (-1,-1): sigma_terms skips only the terms
+        # whose index is the corner, so alpha = (-1,-1) still contributes the
+        # terms whose first index alpha + (m-i) e_j, i < m, has left it
+        indices = sorted(l_indices(-1, index_cap) + [(-1, -1)])
         keys = slice_keys(module, max_degree)
         images = BasisImages(module, a)
 
@@ -471,33 +432,16 @@ def _suite_sigma(max_degree: int, rng) -> list:
             "bounded-search",
             search,
         ),
-        (
-            "sigma-two-term-example",
-            "order-1 operator value on the constant vector",
-            "derived-example",
-            example,
-        ),
+        ("sigma-two-term-example", "order-1 operator value on the constant vector", "derived-example", example),
         ("sigma-corner-term", "the corner index contributes nothing", "axiom-sweep", corner),
     ]
 
 
 def _suite_y_centralizer(max_degree: int, rng) -> list:
-    cases = []
-    for alpha in y_indices(max_degree):
-
-        def thunk(alpha=alpha):
-            comm = centralizer_check(alpha)
-            bad = {name: str(v) for name, v in comm.items() if not v.is_zero()}
-            return (PASS, {}) if not bad else (FAIL, bad)
-
-        cases.append(
-            (
-                f"commutes-Y{_fmt(alpha)}",
-                "[p_i, Y_a] = [d_i, Y_a] = 0",
-                "axiom-sweep",
-                thunk,
-            )
-        )
+    def check(alpha):
+        comm = centralizer_check(alpha)
+        bad = {name: str(v) for name, v in comm.items() if not v.is_zero()}
+        return (PASS, {}) if not bad else (FAIL, bad)
 
     def inverse_partials():
         probes = [Loc.partial(1, -1), Loc.partial(2, -1)]
@@ -508,15 +452,6 @@ def _suite_y_centralizer(max_degree: int, rng) -> list:
                 if not comm.is_zero():
                     return FAIL, {"alpha": list(alpha), "commutator": str(comm)}
         return PASS, {"indices": len(y_indices(min(max_degree, 3)))}
-
-    cases.append(
-        (
-            "commutes-inverse-partials",
-            "[p_i^-1, Y_a] = 0 in the localization",
-            "axiom-sweep",
-            inverse_partials,
-        )
-    )
 
     displays = {
         (1, -1): "L(1,-1)*p1*p2^-1 + 2*d1",
@@ -530,71 +465,65 @@ def _suite_y_centralizer(max_degree: int, rng) -> list:
         (1, 0): "L(1,0) - L(1,-1)*d2 - d1^2 - d1",
         (0, 1): "L(0,1) - L(-1,1)*d1 + d2^2 + d2",
     }
-    cases += _display_cases("display-Y{}", "Y{}", displays, y_element, _parse_loc)
-    cases += _display_cases(
-        "display-xi{}", "xi(Y{})", xi_displays, lambda alpha: Loc.from_uenv(xi_y(alpha)), _parse_loc
-    )
-    return cases
+    return [
+        *_cases(
+            "[p_i, Y_a] = [d_i, Y_a] = 0",
+            "axiom-sweep",
+            check,
+            [(f"commutes-Y{_fmt(alpha)}", alpha) for alpha in y_indices(max_degree)],
+        ),
+        ("commutes-inverse-partials", "[p_i^-1, Y_a] = 0 in the localization", "axiom-sweep", inverse_partials),
+        *_display_cases("display-Y{}", "Y{}", displays, y_element, _parse_loc),
+        *_display_cases("display-xi{}", "xi(Y{})", xi_displays, lambda alpha: Loc.from_uenv(xi_y(alpha)), _parse_loc),
+    ]
 
 
 def _suite_g_recurrence(max_degree: int, rng) -> list:
-    cases = []
-    for alpha in y_indices(max_degree):
-
-        def thunk(alpha=alpha):
-            n = mtotal(alpha)
-            for beta in _beta_range(alpha):
-                # |b| < |a|, so b + e1 is again in range (and never 0)
-                g, g_up = g_poly(alpha, beta), g_poly(alpha, (beta[0] + 1, beta[1]))
-                res = g.shift((1, 0)) - g + g_up * (beta[0] + 2)
-                if not res.is_zero():
-                    return FAIL, {"beta": list(beta), "residue": str(res)}
-            g0 = g0_poly(alpha)
-            g10 = g_poly(alpha, (1, 0)) if n >= 1 else Poly2()
-            g1m1 = g_poly(alpha, (1, -1)) if n >= 0 else Poly2()
-            res = (
-                g0.shift((1, 0))
-                - g0
-                + (Poly2.variable(1) - Poly2.variable(2)) * g10 * 2
-                - g1m1.shift((0, 1)) * 2
-            )
+    def check(alpha):
+        n = mtotal(alpha)
+        for beta in _beta_range(alpha):
+            # |b| < |a|, so b + e1 is again in range (and never 0)
+            g, g_up = g_poly(alpha, beta), g_poly(alpha, (beta[0] + 1, beta[1]))
+            res = g.shift((1, 0)) - g + g_up * (beta[0] + 2)
             if not res.is_zero():
-                return FAIL, {"beta": "0", "residue": str(res)}
-            return PASS, {}
-
-        cases.append(
-            (
-                f"grec-{_fmt(alpha)}",
-                "g_b(d1+1,d2) - g_b(d1,d2) + (b1+2) g_(b+e1)(d1,d2) = 0 and the tail identity",
-                "axiom-sweep",
-                thunk,
-            )
+                return FAIL, {"beta": list(beta), "residue": str(res)}
+        g0 = g0_poly(alpha)
+        g10 = g_poly(alpha, (1, 0)) if n >= 1 else Poly2()
+        g1m1 = g_poly(alpha, (1, -1)) if n >= 0 else Poly2()
+        res = (
+            g0.shift((1, 0))
+            - g0
+            + (Poly2.variable(1) - Poly2.variable(2)) * g10 * 2
+            - g1m1.shift((0, 1)) * 2
         )
-    return cases
+        if not res.is_zero():
+            return FAIL, {"beta": "0", "residue": str(res)}
+        return PASS, {}
+
+    return _cases(
+        "g_b(d1+1,d2) - g_b(d1,d2) + (b1+2) g_(b+e1)(d1,d2) = 0 and the tail identity",
+        "axiom-sweep",
+        check,
+        [(f"grec-{_fmt(alpha)}", alpha) for alpha in y_indices(max_degree)],
+    )
 
 
 def _suite_xi_whittaker(max_degree: int, rng) -> list:
-    cases = []
-    for alpha in y_indices(max_degree):
+    def check(alpha):
+        d1_, d2_ = whittaker_stability_defect(alpha)
+        if not (d1_.is_zero() and d2_.is_zero()):
+            return FAIL, {"defect_p1": str(d1_), "defect_p2": str(d2_)}
+        via_y, via_xi = xi_q1_consistency(alpha)
+        if via_y != via_xi:
+            return FAIL, {"via_y": str(via_y), "via_xi": str(via_xi)}
+        return PASS, {}
 
-        def thunk(alpha=alpha):
-            d1_, d2_ = whittaker_stability_defect(alpha)
-            if not (d1_.is_zero() and d2_.is_zero()):
-                return FAIL, {"defect_p1": str(d1_), "defect_p2": str(d2_)}
-            via_y, via_xi = xi_q1_consistency(alpha)
-            if via_y != via_xi:
-                return FAIL, {"via_y": str(via_y), "via_xi": str(via_xi)}
-            return PASS, {}
-
-        cases.append(
-            (
-                f"xiwh-{_fmt(alpha)}",
-                "(p_i - 1) xi(Y_a) v = 0 and both residue routes agree",
-                "cross-check",
-                thunk,
-            )
-        )
-    return cases
+    return _cases(
+        "(p_i - 1) xi(Y_a) v = 0 and both residue routes agree",
+        "cross-check",
+        check,
+        [(f"xiwh-{_fmt(alpha)}", alpha) for alpha in y_indices(max_degree)],
+    )
 
 
 def _suite_pi1_compare(max_degree: int, rng) -> list:
@@ -606,56 +535,36 @@ def _suite_pi1_compare(max_degree: int, rng) -> list:
         (0, 1): ("-2*E21*E11 + E22^2 + E22", (G(2, 1) * G(1, 1) * -2 + G(2, 2) * G(2, 2) + G(2, 2))),
     }
     images = dict(displays.values())  # display text -> formal image
-    cases = _display_cases(
-        "pi1-display{}",
-        "pi1(Y{})",
-        {alpha: text for alpha, (text, _) in displays.items()},
-        pi1,
-        lambda text: images[text].normalized(),
-    )
-    for alpha in H_GENERATORS:
-        for lam in LAMBDA_GRID:
 
-            def thunk(alpha=alpha, lam=lam):
-                mat_y, mat_pi, equal = wh_action_compare(alpha, lam)
-                if equal:
-                    return PASS, {}
-                return FAIL, {"module_route": str(mat_y), "operator_route": str(mat_pi)}
+    def check(alpha, lam):
+        mat_y, mat_pi, equal = wh_action_compare(alpha, lam)
+        if equal:
+            return PASS, {}
+        return FAIL, {"module_route": str(mat_y), "operator_route": str(mat_pi)}
 
-            cases.append(
-                (
-                    f"pi1-module{_fmt(alpha)}-lam{_fmt(lam)}",
-                    "Y on the Whittaker vectors equals its operator image",
-                    "cross-check",
-                    thunk,
-                )
-            )
-    return cases
+    return [
+        *_display_cases(
+            "pi1-display{}",
+            "pi1(Y{})",
+            {alpha: text for alpha, (text, _) in displays.items()},
+            pi1,
+            lambda text: images[text].normalized(),
+        ),
+        *_cases(
+            "Y on the Whittaker vectors equals its operator image",
+            "cross-check",
+            check,
+            [(f"pi1-module{_fmt(alpha)}-lam{_fmt(lam)}", alpha, lam) for alpha in H_GENERATORS for lam in LAMBDA_GRID],
+        ),
+    ]
 
 
 def _suite_y_basis(max_degree: int, rng) -> list:
-    cases = []
-
     def pair():
-        report = y_basis_probe([(1, -1), (-1, 1)], 1)
-        return (PASS, report) if report["full"] else (FAIL, report)
-
-    cases.append(
-        ("ybasis-pair-len1", "ordered monomials in two Y's are independent", "rank-computation", pair)
-    )
+        return _full(y_basis_probe([(1, -1), (-1, 1)], 1))
 
     def window():
-        report = y_basis_probe(y_indices(1), 2)
-        return (PASS, report) if report["full"] else (FAIL, report)
-
-    cases.append(
-        (
-            "ybasis-window1-len2",
-            "ordered monomials up to length 2 are independent",
-            "rank-computation",
-            window,
-        )
-    )
+        return _full(y_basis_probe(y_indices(1), 2))
 
     def generation():
         found = y_generation_search((1, 1), 3)
@@ -664,81 +573,74 @@ def _suite_y_basis(max_degree: int, rng) -> list:
         readable = {"*".join(f"Y{_fmt(i)}" for i in word) or "1": str(c) for word, c in found.items()}
         return PASS, {"decomposition": readable}
 
-    cases.append(
-        (
-            "ygen-Y(1,1)-cap3",
-            "the four distinguished Y's generate the centralizer window",
-            "bounded-search",
-            generation,
-        )
-    )
-
     def generation_self():
         found = y_generation_search((1, -1), 1)
         if found == {((1, -1),): 1}:
             return PASS, {}
         return FAIL, {"found": str(found)}
 
-    cases.append(
-        ("ygen-generator-itself", "a generator decomposes as itself", "derived-example", generation_self)
-    )
-    return cases
+    return [
+        ("ybasis-pair-len1", "ordered monomials in two Y's are independent", "rank-computation", pair),
+        ("ybasis-window1-len2", "ordered monomials up to length 2 are independent", "rank-computation", window),
+        (
+            "ygen-Y(1,1)-cap3",
+            "the four distinguished Y's generate the centralizer window",
+            "bounded-search",
+            generation,
+        ),
+        ("ygen-generator-itself", "a generator decomposes as itself", "derived-example", generation_self),
+    ]
+
+
+def _table(report: dict) -> dict:
+    return {"table": {str(k): list(v) for k, v in report["table"].items()}}
 
 
 def _suite_closure(max_degree: int, rng) -> list:
     gen_degree = 2
-    cases = []
+
+    def constants(a) -> dict:
+        # the probe on the constant vector v0 + v1 of T(a, V(1,0))
+        module = gl2_simple((1, 0))
+        seed = TVector.basis(module, a, (0, 0), 0) + TVector.basis(module, a, (0, 0), 1)
+        return closure_probe(seed, max_degree, gen_degree)
 
     def reducible_case():
-        module = gl2_simple((1, 0))
-        seed = TVector.basis(module, (1, 1), (0, 0), 0) + TVector.basis(module, (1, 1), (0, 0), 1)
-        report = closure_probe(seed, max_degree, gen_degree)
+        report = constants((1, 1))
         status = PASS if report["proper"] and report["tracked_rank"] > 0 else FAIL
-        return status, {"table": {str(k): list(v) for k, v in report["table"].items()}}
+        return status, _table(report)
 
-    cases.append(
+    def simple(lam, draw):
+        module = gl2_simple(lam)
+        seed = random_seed_vector(module, (1, 1), random.Random(draw))
+        report = closure_probe(seed, max_degree, gen_degree)
+        status = PASS if report["full"] else FAIL
+        return status, _table(report)
+
+    def untwisted():
+        return PASS, _table(constants((0, 0)))
+
+    local = random.Random(rng.randrange(1 << 30))
+    return [
         (
             "closure-reducible-point",
             "the distinguished seed generates a proper submodule slice",
             "rank-computation",
             reducible_case,
-        )
-    )
-
-    local = random.Random(rng.randrange(1 << 30))
-    for lam in ((1, 1), (2, 0)):
-
-        def thunk(lam=lam, draw=local.randrange(1 << 30)):
-            module = gl2_simple(lam)
-            seed = random_seed_vector(module, (1, 1), random.Random(draw))
-            report = closure_probe(seed, max_degree, gen_degree)
-            status = PASS if report["full"] else FAIL
-            return status, {"table": {str(k): list(v) for k, v in report["table"].items()}}
-
-        cases.append(
-            (
-                f"closure-simple-lam{_fmt(lam)}",
-                "a random seed generates the full trusted slice",
-                "rank-computation",
-                thunk,
-            )
-        )
-
-    def untwisted():
-        module = gl2_simple((1, 0))
-        seed = TVector.basis(module, (0, 0), (0, 0), 0) + TVector.basis(module, (0, 0), (0, 0), 1)
-        report = closure_probe(seed, max_degree, gen_degree)
-        return PASS, {"table": {str(k): list(v) for k, v in report["table"].items()}}
-
-    cases.append(
+        ),
+        *_cases(
+            "a random seed generates the full trusted slice",
+            "rank-computation",
+            simple,
+            [(f"closure-simple-lam{_fmt(lam)}", lam, local.randrange(1 << 30)) for lam in ((1, 1), (2, 0))],
+        ),
         (
             "closure-untwisted-slices",
             "slice dimensions of the submodule generated by the constants",
             "recorded-fact",
             untwisted,
-        )
-    )
-    return cases
+        ),
+    ]
 
 
 SUITES = {
@@ -775,10 +677,10 @@ def run_suite(name: str, max_degree: int | None = None, seed: int = 0) -> SuiteR
         raise ValueError(f"max degree must be nonnegative, got {degree}")
     rng = random.Random(seed)
     started = time.perf_counter()
-    cases = []
     with run_scope():  # each Y_a and phi(letter) is built once per run
-        for case_name, anchor, provenance, thunk in builder(degree, rng):
-            status, witness = thunk()
-            cases.append(Case(case_name, anchor, provenance, status, witness))
+        cases = [
+            Case(case_name, anchor, provenance, *thunk())
+            for case_name, anchor, provenance, thunk in builder(degree, rng)
+        ]
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return SuiteReport(name, seed, __version__, cases, elapsed_ms)

@@ -48,6 +48,10 @@ from .weyl import phi_letter
 TKey = tuple[MultiIndex, int]  # (polynomial exponent, weight basis index)
 
 
+def _type_vector(a) -> tuple:
+    return (as_scalar(a[0]), as_scalar(a[1]))
+
+
 class TVector(LinComb):
     """Module vector; carries the type vector and the module descriptor."""
 
@@ -55,7 +59,7 @@ class TVector(LinComb):
 
     def __init__(self, terms=(), *, a, module: Gl2Module):
         super().__init__(terms)
-        self.a = (as_scalar(a[0]), as_scalar(a[1]))
+        self.a = _type_vector(a)
         self.module = module
 
     def _new(self, terms):
@@ -161,7 +165,7 @@ class BasisImages:
 
     def __init__(self, module: Gl2Module, a):
         self.module = module
-        self.a = (as_scalar(a[0]), as_scalar(a[1]))
+        self.a = _type_vector(a)
         self._tables: defaultdict = defaultdict(dict)  # letter -> {key id: ((key id, coeff), ...)}
         self._ids: dict = {}  # key -> key id
         self._keys: list = []  # key id -> key
@@ -273,7 +277,7 @@ def joint_kernel(module: Gl2Module, a, degree: int, ops) -> list[TVector]:
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative: the slice is empty")
-    a = (as_scalar(a[0]), as_scalar(a[1]))
+    a = _type_vector(a)
     keys = slice_keys(module, degree)
     in_slice = set(keys)
     rows: list[dict] = []
@@ -302,7 +306,7 @@ def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
     the letters of ``Sbar.d1()`` m1 times."""
     if degree < 0:
         raise ValueError("degree must be nonnegative: the window is empty")
-    a = (as_scalar(a[0]), as_scalar(a[1]))
+    a = _type_vector(a)
     if not (a[0] and a[1]):
         raise ValueError("freeness check needs a nonsingular type vector")
     d2 = _letter_kernel(D2, module, a)

@@ -43,6 +43,12 @@ def test_ygen_builds_each_y_once(monkeypatch, capsys):
     )
 
 
+def test_ygen_rejects_a_bad_lambda_before_printing(capsys):
+    assert main(["ygen", "--alpha", "1,0", "--xi", "--pi1", "--lambda", "0,1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "highest weight difference must be a nonnegative integer" in out.err
+
+
 def test_whittaker_and_freeness(capsys):
     assert main(["whittaker", "--lambda", "2,0", "--type", "1,1", "--degree", "3"]) == 0
     assert "dim = 3" in capsys.readouterr().out

@@ -485,6 +485,19 @@ def _nested_range_bounds(tree) -> list:
     return sorted(lines)
 
 
+def _ranges_from_minus_one(tree) -> list:
+    """Lines of ``range(-1, ...)`` calls: an index running from -1 is an
+    L-index coordinate."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if _is_range(node)
+        and len(node.args) > 1
+        and _is_int_literal(node.args[0])
+        and ast.literal_eval(node.args[0]) == -1
+    )
+
+
 def test_exponent_windows_are_spelled_once():
     # the exponent window b in Z_+^2, |b| <= d is base.exponents and the
     # L-index window is lie.l_indices; uh_freeness_check keeps its own
@@ -503,6 +516,14 @@ def test_exponent_windows_are_spelled_once():
         "    return [(i, j) for i in range(3) for j in range(3 - i)] + [k for k in range(d)]\n"
     )
     assert _nested_range_bounds(ast.parse(planted)) == [3, 5]
+    # an L-index window written out by hand, such as the sigma search's
+    # a1, a2 in range(-1, cap + 2), is l_indices (plus the corner) instead
+    l_indices = _function("lie.py", "l_indices")
+    inside = {line for line in range(l_indices.lineno, l_indices.end_lineno + 1)}
+    minus_one = [(name, line) for name, tree in MODULES.items() for line in _ranges_from_minus_one(tree)]
+    assert minus_one and [site for site in minus_one if site[0] != "lie.py" or site[1] not in inside] == []
+    planted = "idx = [(a1, a2) for a1 in range(-1, 4) for a2 in range(-1, 4)]\nks = range(-1)\nms = range(1, 4)\n"
+    assert _ranges_from_minus_one(ast.parse(planted)) == [1, 1]
 
 
 def test_tail_split_is_read_only_through_loc_from_uenv():
@@ -511,3 +532,44 @@ def test_tail_split_is_read_only_through_loc_from_uenv():
     sites = [(name, node.lineno) for name, tree in MODULES.items() for node in _calls(tree, "split_tail_partials")]
     inside = _calls(_method("enveloping.py", "Loc", "from_uenv"), "split_tail_partials")
     assert inside and sites == [("enveloping.py", node.lineno) for node in inside]
+
+
+def _appends_outside(tree, fn: str) -> list:
+    """Lines of ``.append(...)`` calls outside the functions named ``fn``."""
+    spans = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == fn]
+    inside = {id(node) for f in spans for node in ast.walk(f)}
+    appends = [node for node in _calls(tree, "append") if isinstance(node.func, ast.Attribute)]
+    return sorted(node.lineno for node in appends if id(node) not in inside)
+
+
+def _nested_functions_with_defaults(tree) -> list:
+    """Lines of functions and lambdas inside a function that take default
+    arguments, the loop-variable capture of ``def thunk(alpha=alpha)``."""
+    scopes = (ast.FunctionDef, ast.Lambda)
+    return sorted(
+        {
+            inner.lineno
+            for outer in ast.walk(tree)
+            if isinstance(outer, scopes)
+            for inner in ast.walk(outer)
+            if inner is not outer
+            and isinstance(inner, scopes)
+            and (inner.args.defaults or any(d is not None for d in inner.args.kw_defaults))
+        }
+    )
+
+
+def test_suites_build_cases_through_one_constructor():
+    # every case is a literal tuple or comes from _cases, whose thunk is a
+    # partial of one check over its entry; _bucketed appends to its buckets,
+    # not to a case list. A case list grown by append, or a thunk capturing
+    # its loop variables through defaults, is a second way to build a case
+    tree = MODULES["suites.py"]
+    assert _appends_outside(tree, "_bucketed") == [] and _nested_functions_with_defaults(tree) == []
+    assert _calls(_function("suites.py", "_bucketed"), "append") and _calls(_function("suites.py", "_cases"), "partial")
+    planted = (
+        "def f(xs, cases):\n    for alpha in xs:\n        def thunk(alpha=alpha):\n            return alpha\n"
+        "        cases.append(thunk)\n    return [lambda x=1: x, lambda x: x]\n\ndef g(y=0):\n    return y\n"
+    )
+    assert _appends_outside(ast.parse(planted), "_bucketed") == [5]
+    assert _nested_functions_with_defaults(ast.parse(planted)) == [3, 6]

@@ -84,6 +84,24 @@ def test_derived_vectors_reuse_the_coerced_type_vector():
         TVector({((0, 0), 0): 1}, a=(0.5, 1), module=m)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda m, a: TVector({((0, 0), 0): 1}, a=a, module=m),
+        lambda m, a: BasisImages(m, a),
+        lambda m, a: joint_kernel(m, a, 1, []),
+        lambda m, a: uh_freeness_check(m, a, 1),
+    ],
+    ids=["TVector", "BasisImages", "joint_kernel", "uh_freeness_check"],
+)
+@pytest.mark.parametrize("a", [(0.5, 1), (1, 0.5)])
+def test_type_vector_entry_points_reject_a_float(build, a):
+    # each place a type vector enters the module coerces it exactly once,
+    # so a float in either slot raises before any arithmetic runs
+    with pytest.raises(TypeError, match="exact rational"):
+        build(gl2_simple((1, 0)), a)
+
+
 SMALL_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
 
 
