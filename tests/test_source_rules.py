@@ -519,7 +519,7 @@ def test_exponent_windows_are_spelled_once():
     # an L-index window written out by hand, such as the sigma search's
     # a1, a2 in range(-1, cap + 2), is l_indices (plus the corner) instead
     l_indices = _function("lie.py", "l_indices")
-    inside = {line for line in range(l_indices.lineno, l_indices.end_lineno + 1)}
+    inside = set(range(l_indices.lineno, l_indices.end_lineno + 1))
     minus_one = [(name, line) for name, tree in MODULES.items() for line in _ranges_from_minus_one(tree)]
     assert minus_one and [site for site in minus_one if site[0] != "lie.py" or site[1] not in inside] == []
     planted = "idx = [(a1, a2) for a1 in range(-1, 4) for a2 in range(-1, 4)]\nks = range(-1)\nms = range(1, 4)\n"
