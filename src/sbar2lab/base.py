@@ -7,6 +7,11 @@ through ``qdiv``, so every equality test downstream is exact. Multi-indices
 are plain ``(int, int)`` tuples and each consuming operation enforces its
 own range at its boundary.
 
+``linear`` and ``bilinear_sum`` are the one linear and the one bilinear
+extension: each sums its terms in one dict and builds the result once, and
+``bilinear_sum`` takes a list of operand pairs, so a sum of products such as
+a Jacobi cyclic sum is one element; ``bilinear`` is its one-pair call.
+
 ``run_memo`` memoizes a function on its positional arguments while a
 ``run_scope`` is open (``suites.run_suite`` opens one around its cases);
 outside a scope every call computes afresh, so no result outlives a run.
@@ -279,15 +284,24 @@ def linear(pairs, image, out):
     return out(acc)
 
 
-def bilinear(x: LinComb, y: LinComb, key_fn, out):
-    """Bilinear extension of ``key_fn(k1, k2) -> iterable[(key, factor)]``, built as in ``linear``."""
+def bilinear_sum(pairs, key_fn, out):
+    """Bilinear extension of ``key_fn(k1, k2) -> iterable[(key, factor)]``
+    summed over the ``(x, y)`` operand pairs: every product goes into one
+    accumulator, and the sum is built once by ``out``, as in ``linear``."""
     acc: dict = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
-            c = c1 * c2
-            for key, f in key_fn(k1, k2):
-                accumulate(acc, key, c * f)
+    for x, y in pairs:
+        right = y.terms.items()
+        for k1, c1 in x.terms.items():
+            for k2, c2 in right:
+                c = c1 * c2
+                for key, f in key_fn(k1, k2):
+                    accumulate(acc, key, c * f)
     return out(acc)
+
+
+def bilinear(x: LinComb, y: LinComb, key_fn, out):
+    """The bilinear extension on one operand pair: ``bilinear_sum`` of ``(x, y)``."""
+    return bilinear_sum(((x, y),), key_fn, out)
 
 
 class Poly2(LinComb):

@@ -33,7 +33,7 @@ def _pair(text: str, name: str) -> tuple:
         part = part.strip()
         try:
             out.append(as_scalar(Fraction(part)) if "/" in part else int(part))
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"bad {name} component {part!r}") from exc
     return tuple(out)
 

@@ -28,6 +28,7 @@ from .base import (
     accumulate,
     as_scalar,
     bilinear,
+    bilinear_sum,
     in_phi,
     is_nonneg,
     linear,
@@ -158,6 +159,11 @@ def vf_bracket(x: VectorField, y: VectorField) -> VectorField:
     return bilinear(x, y, _vf_key_bracket, VectorField._adopt)
 
 
+def vf_bracket_sum(pairs) -> VectorField:
+    """The sum of [x, y] over the ``(x, y)`` field pairs, built once."""
+    return bilinear_sum(pairs, _vf_key_bracket, VectorField._adopt)
+
+
 def apply_to_poly(x: VectorField, p: Poly2) -> Poly2:
     """Derivation action of the field on a polynomial in t1, t2."""
     return linear(x.items(), lambda key: Poly2.monomial(key[0]) * p.diff(key[1]), Poly2._adopt)
@@ -211,6 +217,12 @@ PARTIALS = {1: Sbar({P1_LETTER: 1}), 2: Sbar({P2_LETTER: -1})}
 
 def sbar_bracket(x: Sbar, y: Sbar) -> Sbar:
     return bilinear(x, y, letter_bracket, Sbar._adopt)
+
+
+def sbar_bracket_sum(pairs) -> Sbar:
+    """The sum of [x, y] over the ``(x, y)`` pairs, built once: a cyclic sum
+    such as the Jacobi expression is one element, not three added."""
+    return bilinear_sum(pairs, letter_bracket, Sbar._adopt)
 
 
 def _letter_field(letter: Letter) -> VectorField:

@@ -46,10 +46,12 @@ from .lie import (
     l_indices,
     letter_degree,
     sbar_bracket,
+    sbar_bracket_sum,
     sbar_to_vf,
     scaling_twist,
     unipotent_twist,
     vf_bracket,
+    vf_bracket_sum,
     vf_to_sbar,
 )
 from .linalg import EchelonSpan
@@ -128,22 +130,26 @@ def _display_cases(name: str, lhs: str, texts: dict, value, expected) -> list:
 # Each builder returns a list of (name, anchor, provenance, thunk); a thunk
 # returns (status, witness).
 
+def _letter_elements(groups) -> tuple:
+    """Each letter occurring in ``groups`` as an ``Sbar`` and as a field,
+    built once per case: two dicts keyed by letter."""
+    sb = {l: Sbar({l: 1}) for l in {l for group in groups for l in group}}
+    return sb, {l: sbar_to_vf(s) for l, s in sb.items()}
+
+
 def _suite_jacobi(max_degree: int, rng) -> list:
     def check(trios):
-        # per case, each letter's element and field and each inner bracket once
-        sb = {l: Sbar({l: 1}) for l in {l for trio in trios for l in trio}}
-        vf = {l: sbar_to_vf(s) for l, s in sb.items()}
+        # per case, each letter's element and field and each inner bracket
+        # once; each route's cyclic sum is one pair-list bracket
+        sb, vf = _letter_elements(trios)
+        routes = (("letters", sbar_bracket_sum, sb), ("fields", vf_bracket_sum, vf))
         inner: dict = {}  # (y, z) -> ([y,z] on letters, [y,z] on fields)
         for x, y, z in trios:
             for p, q in ((y, z), (z, x), (x, y)):
                 if (p, q) not in inner:
                     inner[p, q] = (sbar_bracket(sb[p], sb[q]), vf_bracket(vf[p], vf[q]))
-            for r, (route, bracket, elem) in enumerate((("letters", sbar_bracket, sb), ("fields", vf_bracket, vf))):
-                total = (
-                    bracket(elem[x], inner[y, z][r])
-                    + bracket(elem[y], inner[z, x][r])
-                    + bracket(elem[z], inner[x, y][r])
-                )
+            for r, (route, bracket_sum, elem) in enumerate(routes):
+                total = bracket_sum(((elem[x], inner[y, z][r]), (elem[y], inner[z, x][r]), (elem[z], inner[x, y][r])))
                 if not total.is_zero():
                     return FAIL, {"triple": [str(sb[x]), str(sb[y]), str(sb[z])], "route": route}
         return PASS, {"triples": len(trios)}
@@ -160,14 +166,14 @@ def _suite_jacobi(max_degree: int, rng) -> list:
 
 def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
     def check(pairs):
+        sb, vf = _letter_elements(pairs)
         for x, y in pairs:
-            sx, sy = Sbar({x: 1}), Sbar({y: 1})
-            via_letters = sbar_to_vf(sbar_bracket(sx, sy))
-            via_fields = vf_bracket(sbar_to_vf(sx), sbar_to_vf(sy))
-            if via_letters != via_fields:
-                return FAIL, {"pair": [str(sx), str(sy)]}
-            if not via_fields.is_zero() and vf_to_sbar(via_fields) != sbar_bracket(sx, sy):
-                return FAIL, {"pair": [str(sx), str(sy)], "stage": "conversion"}
+            via_letters = sbar_bracket(sb[x], sb[y])
+            via_fields = vf_bracket(vf[x], vf[y])
+            if sbar_to_vf(via_letters) != via_fields:
+                return FAIL, {"pair": [str(sb[x]), str(sb[y])]}
+            if not via_fields.is_zero() and vf_to_sbar(via_fields) != via_letters:
+                return FAIL, {"pair": [str(sb[x]), str(sb[y])], "stage": "conversion"}
         return PASS, {"pairs": len(pairs)}
 
     return _bucketed(

@@ -161,12 +161,13 @@ class BasisImages:
     key id to its image as a tuple of ``(key id, coeff)`` pairs, and the
     products summed in ``pairs_on`` hash ints instead of nested key tuples."""
 
-    __slots__ = ("module", "a", "_tables", "_ids", "_keys")
+    __slots__ = ("module", "a", "_tables", "_kernels", "_ids", "_keys")
 
     def __init__(self, module: Gl2Module, a):
         self.module = module
         self.a = _type_vector(a)
         self._tables: defaultdict = defaultdict(dict)  # letter -> {key id: ((key id, coeff), ...)}
+        self._kernels: dict = {}  # letter -> compiled kernel, fetched on its table's first miss
         self._ids: dict = {}  # key -> key id
         self._keys: list = []  # key id -> key
 
@@ -180,7 +181,10 @@ class BasisImages:
     def image(self, letter: Letter, key: TKey) -> tuple:
         """Compute and store the table entry of ``letter`` at ``key``: the
         terms of ``act_letter(letter, e_key)`` as ``(key id, coeff)`` pairs."""
-        terms = _act_terms(_letter_kernel(letter, self.module, self.a), {key: 1})
+        kernel = self._kernels.get(letter)
+        if kernel is None:
+            kernel = self._kernels[letter] = _letter_kernel(letter, self.module, self.a)
+        terms = _act_terms(kernel, {key: 1})
         res = self._tables[letter][self._id(key)] = tuple((self._id(k), c) for k, c in terms.items())
         return res
 

@@ -5,7 +5,8 @@ import pytest
 
 from sbar2lab import base
 from sbar2lab.base import (
-    LinComb, Poly2, as_scalar, bilinear, binom2, comb0, exponents, gbinom, linear, qdiv, run_memo, run_scope,
+    LinComb, Poly2, as_scalar, bilinear, bilinear_sum, binom2, comb0, exponents, gbinom, linear, qdiv, run_memo,
+    run_scope,
 )
 
 
@@ -164,6 +165,18 @@ def test_results_never_share_terms_with_an_operand():
     for r in results:
         assert all(r.terms is not o.terms for o in operands)
     assert x.terms == {(1, 0): 2, (0, 1): Fraction(1, 2)} and y.terms == {(1, 0): -2, (0, 0): 1}
+
+
+def test_bilinear_sum_is_the_sum_of_its_products():
+    # every product of the pair list goes into one accumulator: terms that
+    # cancel across pairs leave no key, and an empty list is zero
+    x = p({(1, 0): 2, (0, 1): Fraction(1, 2)})
+    y = p({(1, 0): -2, (0, 0): 1})
+    pairs = [(x, y), (y, x), (x, -y * 2)]
+    got = bilinear_sum(pairs, x._key_mul, Poly2._adopt)
+    assert got == x * y + y * x + x * (-y * 2) and got.is_zero()
+    assert bilinear_sum([(x, y), (y, y)], x._key_mul, Poly2._adopt) == x * y + y * y
+    assert bilinear_sum([], x._key_mul, Poly2._adopt) == Poly2()
 
 
 def test_run_memo_keeps_results_only_inside_a_scope():

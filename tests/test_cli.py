@@ -71,6 +71,24 @@ def test_empty_windows_exit_2(argv, message, capsys):
     assert out.out == "" and message in out.err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["whittaker", "--lambda", "1/0,0", "--type", "1,1", "--degree", "1"], "bad lambda component '1/0'"),
+        (["whittaker", "--lambda", "1,0", "--type", "1,2/0", "--degree", "1"], "bad type component '2/0'"),
+        (["ygen", "--alpha", "1/0,0"], "bad alpha component '1/0'"),
+    ],
+)
+def test_zero_denominator_is_a_usage_error(argv, message, capsys):
+    # Fraction("1/0") raises ZeroDivisionError, not ValueError; it is a bad
+    # argument like any other, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
+
+
 def test_closure_seed_expr(capsys):
     rc = main(
         [

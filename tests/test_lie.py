@@ -137,6 +137,26 @@ def test_jacobi_suite_fails_on_one_flipped_bracket(monkeypatch, name, k1, k2, ro
     assert failed and all(case.witness["route"] == route for case in failed)
 
 
+@pytest.mark.parametrize(
+    "name, k1, k2",
+    [
+        # crosscheck brackets each letter pair once, in the order of the
+        # letter list, which puts L(0,1) before L(1,0); the flip on
+        # (L(1,0), L(0,1)) is caught by jacobi alone
+        ("letter_bracket", L_letter((0, 1)), L_letter((1, 0))),
+        # [t1 d1, t1^2 d1] = t1^2 d1, reached by the pair (L(0,0), L(1,0));
+        # the flip on the other order is caught by jacobi alone
+        ("_vf_key_bracket", ((1, 0), 1), ((2, 0), 1)),
+    ],
+)
+def test_bracket_crosscheck_suite_fails_on_one_flipped_bracket(monkeypatch, name, k1, k2):
+    # negative control: the suite brackets each letter once per case on both
+    # routes, and one wrong key bracket on either route fails its pair
+    assert getattr(lie, name)(k1, k2)
+    _flip_one(monkeypatch, name, k1, k2)
+    assert [case for case in run_suite("bracket-crosscheck", 1).cases if case.status == FAIL]
+
+
 def test_bracket_crosscheck_window():
     letters = letters_up_to(2)
     for x, y in itertools.product(letters, repeat=2):
@@ -163,6 +183,21 @@ def test_conversion_round_trip_and_rejection():
         vf_to_sbar(VectorField.monomial((2, 0), 1))  # divergence 2 t1
     with pytest.raises(ValueError):
         vf_to_sbar(VectorField.monomial((0, 2), 2))
+
+
+ROUND_TRIP_ELEMENTS = st.dictionaries(
+    st.sampled_from(letters_up_to(5)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    max_size=8,
+).map(Sbar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ROUND_TRIP_ELEMENTS)
+def test_conversion_round_trips_on_random_combinations(x):
+    # bracket-crosscheck converts brackets of several letters back with
+    # vf_to_sbar, so the round trip is checked on wide combinations too
+    assert vf_to_sbar(sbar_to_vf(x)) == x
 
 
 def test_scaling_twist_examples():

@@ -264,6 +264,44 @@ def test_suites_evaluate_letter_products_through_basis_images():
     assert all(_calls(tree, "BasisImages") and _calls(tree, "pairs_on") for tree in suites)
 
 
+def _is_bracket_call(node) -> bool:
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return "bracket" in (func.id if isinstance(func, ast.Name) else getattr(func, "attr", ""))
+
+
+def _bracket_sums(tree) -> list:
+    """Lines of sums or differences, plain or augmented, with an operand
+    that is a call to a bracket."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp):
+            sides = (node.left, node.right)
+        elif isinstance(node, ast.AugAssign):
+            sides = (node.value,)
+        else:
+            continue
+        if isinstance(node.op, (ast.Add, ast.Sub)) and any(_is_bracket_call(side) for side in sides):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_suites_sum_brackets_through_the_pair_list_entries():
+    # bracket(x, [y,z]) + bracket(y, [z,x]) + ... builds one element per
+    # term and copies the running sum; a cyclic sum is one pair list handed
+    # to sbar_bracket_sum or vf_bracket_sum, which sum in one accumulator,
+    # and bilinear is bilinear_sum's one-pair call, so there is one loop
+    assert _bracket_sums(MODULES["suites.py"]) == []
+    assert _names(_function("suites.py", "_suite_jacobi"), ("sbar_bracket_sum", "vf_bracket_sum"))
+    assert _calls(_function("base.py", "bilinear"), "bilinear_sum")
+    planted = (
+        "def f(x, y, z, w):\n    t = sbar_bracket(x, y) + sbar_bracket(y, z)\n    t -= lie.vf_bracket(x, y)\n"
+        "    u = w + bracket(z, x)\n    return t + u + vf_bracket_sum([(x, y)])\n"
+    )
+    assert _bracket_sums(ast.parse(planted)) == [2, 3, 4, 5]
+
+
 def _names(tree, names) -> list:
     """Nodes naming one of ``names``, as a variable or as an attribute."""
     return [
