@@ -24,35 +24,11 @@ from .lie import D2, letter_alpha, letter_degree
 Matrix = tuple[tuple[Scalar, ...], ...]
 
 
-def mat_zero(n: int) -> Matrix:
-    return tuple(tuple(0 for _ in range(n)) for _ in range(n))
-
-
-def mat_identity(n: int) -> Matrix:
-    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    c = as_scalar(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
 class Gl2Module:
-    """Simple highest weight module with the fixed weight basis above."""
+    """Simple highest weight module with the fixed weight basis above, stored as
+    sparse columns: ``E[ij][k]`` is the tuple of nonzero entries (r, c) of E_ij v_k."""
 
-    __slots__ = ("lam", "n", "dim", "E")
+    __slots__ = ("lam", "dim", "E")
 
     def __init__(self, lam: tuple):
         l1, l2 = as_scalar(lam[0]), as_scalar(lam[1])
@@ -61,30 +37,20 @@ class Gl2Module:
             raise ValueError(f"highest weight difference must be a nonnegative integer, got {n}")
         n = int(n)
         self.lam = (l1, l2)
-        self.n = n
         self.dim = n + 1
-        e11 = [[0] * self.dim for _ in range(self.dim)]
-        e22 = [[0] * self.dim for _ in range(self.dim)]
-        e12 = [[0] * self.dim for _ in range(self.dim)]
-        e21 = [[0] * self.dim for _ in range(self.dim)]
+        self.E = {ij: [] for ij in GL_LETTERS}  # each column has at most one entry
         for k in range(self.dim):
-            e11[k][k] = l1 - k
-            e22[k][k] = l2 + k
-            if k + 1 <= n:
-                e21[k + 1][k] = 1
-            if k >= 1:
-                e12[k - 1][k] = k * (n - k + 1)
-        self.E = {
-            (1, 1): tuple(map(tuple, e11)),
-            (2, 2): tuple(map(tuple, e22)),
-            (1, 2): tuple(map(tuple, e12)),
-            (2, 1): tuple(map(tuple, e21)),
-        }
+            for ij, r, c in (
+                ((1, 1), k, l1 - k),
+                ((2, 2), k, l2 + k),
+                ((2, 1), k + 1, int(k < n)),
+                ((1, 2), k - 1, k * (n - k + 1)),
+            ):
+                self.E[ij].append(((r, c),) if c else ())
 
-    def column(self, ij: tuple[int, int], k: int) -> list[tuple[int, Scalar]]:
-        """Nonzero entries of E_ij applied to the k-th basis vector."""
-        mat = self.E[ij]
-        return [(r, mat[r][k]) for r in range(self.dim) if mat[r][k]]
+    def column(self, ij: tuple[int, int], k: int) -> tuple:
+        """Nonzero entries (r, c) of E_ij applied to the k-th basis vector."""
+        return self.E[ij][k]
 
     # equal highest weights give one module, so they share run-memoized work
     def __eq__(self, other):
@@ -138,13 +104,17 @@ class Gl2Poly(LinComb):
         return self.one() * self
 
     def evaluate(self, module: Gl2Module) -> Matrix:
-        out = mat_zero(module.dim)
-        for word, c in self.terms.items():
-            m = mat_identity(module.dim)
-            for letter in word:
-                m = mat_mul(m, module.E[letter])
-            out = mat_add(out, mat_scale(m, c))
-        return out
+        """The matrix on ``module``: each word acts on every v_k one letter at a
+        time, from the right, through the sparse columns; entries keyed (row, column)."""
+
+        def word_matrix(word) -> dict:
+            m = {(k, k): 1 for k in range(module.dim)}
+            for letter in reversed(word):
+                m = linear(m.items(), lambda rk: {(r, rk[1]): c for r, c in module.E[letter][rk[0]]}, dict)
+            return m
+
+        entries = linear(self.terms.items(), word_matrix, dict)
+        return tuple(tuple(as_scalar(entries.get((r, k), 0)) for k in range(module.dim)) for r in range(module.dim))
 
     def __str__(self):
         order = sorted(self.terms, key=lambda w: (len(w), tuple(_GL_RANK[l] for l in w)))

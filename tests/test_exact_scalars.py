@@ -17,6 +17,8 @@ import pytest
 from test_golden import REDUCED_DEGREES
 
 from sbar2lab import base
+from sbar2lab.base import run_scope
+from sbar2lab.centralizer import pi1, y_indices
 from sbar2lab.gl2 import gl2_simple
 from sbar2lab.lie import D2
 from sbar2lab.suites import run_suite, suite_names
@@ -28,6 +30,8 @@ MODULES = [
     for name, module in sorted(sys.modules.items())
     if name.startswith("sbar2lab.") and getattr(module, "as_scalar", None) is base.as_scalar
 ]
+
+H = Fraction(1, 2)
 
 
 def _kind(x) -> str:
@@ -68,3 +72,14 @@ def test_basis_images_sums_are_canonical():
     got = images.pairs_on([(D2, D2, Fraction(1, 2))] * 2, ((0, 1), 0))
     assert got == {((0, 1), 0): 1, ((0, 2), 0): 3, ((0, 3), 0): 1}
     assert {_kind(c) for c in got.values()} == {"int"}
+
+
+@pytest.mark.parametrize("lam", [(H, -H), (3 * H, H), (5 * H, -H), (2, 0)], ids=lambda lam: f"{lam[0]},{lam[1]}")
+def test_operator_image_entries_are_canonical(lam):
+    # at a half-integral weight the diagonal entries are Fractions, and their
+    # products and sums can be integral: those entries come back as ints
+    module = gl2_simple(lam)
+    with run_scope():
+        kinds = Counter(_kind(x) for alpha in y_indices(3) for row in pi1(alpha).evaluate(module) for x in row)
+    assert set(kinds) <= {"int", "Fraction"}, kinds
+    assert kinds["int"] > 0

@@ -2,44 +2,46 @@ from fractions import Fraction
 
 import pytest
 
-from sbar2lab.gl2 import Gl2Poly, gl2_simple, mat_add, mat_mul, mat_scale, mat_zero, pi_env
+from sbar2lab.gl2 import GL_LETTERS, Gl2Poly, gl2_simple, pi_env
 from sbar2lab.enveloping import UEnv
 from sbar2lab.lie import Sbar
 from oracles import pi_iso
-
-
-def commutator(m, a, b):
-    return mat_add(mat_mul(m.E[a], m.E[b]), mat_scale(mat_mul(m.E[b], m.E[a]), -1))
 
 
 @pytest.mark.parametrize("lam,dim", [((1, 0), 2), ((3, 3), 1), ((2, 0), 3), ((3, 1), 3)])
 def test_gl2_relations(lam, dim):
     m = gl2_simple(lam)
     assert m.dim == dim
-    for a in m.E:
-        for b in m.E:
-            expect = mat_zero(dim)
+    for a in GL_LETTERS:
+        for b in GL_LETTERS:
+            # pair lists of unnormalized words: a dict literal loses a term when a == b
+            commutator = Gl2Poly([((a, b), 1), ((b, a), -1)])
+            expect = []
             if a[1] == b[0]:
-                expect = mat_add(expect, m.E[(a[0], b[1])])
+                expect.append((((a[0], b[1]),), 1))
             if b[1] == a[0]:
-                expect = mat_add(expect, mat_scale(m.E[(b[0], a[1])], -1))
-            assert commutator(m, a, b) == expect
+                expect.append((((b[0], a[1]),), -1))
+            assert commutator.evaluate(m) == Gl2Poly(expect).evaluate(m)
     # central character and highest weight vector
-    trace_op = mat_add(m.E[(1, 1)], m.E[(2, 2)])
+    trace_op = (Gl2Poly.gen(1, 1) + Gl2Poly.gen(2, 2)).evaluate(m)
     lam1, lam2 = Fraction(lam[0]), Fraction(lam[1])
     assert trace_op == tuple(
         tuple((lam1 + lam2 if i == j else Fraction(0)) for j in range(dim)) for i in range(dim)
     )
-    assert all(m.E[(1, 2)][i][0] == 0 for i in range(dim))
-    assert m.E[(1, 1)][0][0] == lam1
+    assert m.column((1, 2), 0) == ()
+    assert m.column((1, 1), 0) == ((0, lam1),)
 
 
 def test_weight_string():
+    def weight(m, ij, k):
+        # the eigenvalue of a diagonal E_ij on v_k, read off its sparse column
+        return dict(m.column(ij, k)).get(k, 0)
+
     m = gl2_simple((2, 0))
-    diffs = [m.E[(1, 1)][k][k] - m.E[(2, 2)][k][k] for k in range(3)]
+    diffs = [weight(m, (1, 1), k) - weight(m, (2, 2), k) for k in range(3)]
     assert diffs == [2, 0, -2]
     m = gl2_simple((5, 5))
-    assert m.dim == 1 and m.E[(1, 2)] == ((Fraction(0),),)
+    assert m.dim == 1 and m.column((1, 2), 0) == ()
 
 
 def test_rejects_bad_weights():

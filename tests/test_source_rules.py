@@ -611,3 +611,32 @@ def test_suites_build_cases_through_one_constructor():
     )
     assert _appends_outside(ast.parse(planted), "_bucketed") == [5]
     assert _nested_functions_with_defaults(ast.parse(planted)) == [3, 6]
+
+
+def _dense_matrix_sites(tree) -> list:
+    """Lines of functions named ``mat_*`` and of zero-filled list-of-lists
+    matrices, a comprehension of repeated rows such as ``[[0] * n for _ in range(n)]``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("mat_"))
+        or (
+            isinstance(node, ast.ListComp)
+            and isinstance(node.elt, ast.BinOp)
+            and isinstance(node.elt.op, ast.Mult)
+            and isinstance(node.elt.left, ast.List)
+        )
+    )
+
+
+def test_gl2_modules_have_no_dense_matrix_form():
+    # a gl_2-module stores sparse columns, and Gl2Poly.evaluate builds its
+    # matrix once from them; a mat_* helper or a zero-filled list-of-lists
+    # matrix is a second, dense form of the same data. (The dense system that
+    # y_generation_search hands to solve goes with the dense rref.)
+    assert [(name, line) for name, tree in MODULES.items() for line in _dense_matrix_sites(tree)] == []
+    planted = (
+        "def mat_zero(n):\n    return [[0] * n for _ in range(n)]\n\n"
+        "def f(n):\n    return [[0] * n] * n, [[Fraction(0)] * n for _ in range(n)], [0] * n\n"
+    )
+    assert _dense_matrix_sites(ast.parse(planted)) == [1, 2, 5]
