@@ -10,15 +10,22 @@ A second table pins every suite at a pushed degree, past its default, so
 that a refactor is checked on wider windows than the defaults reach. It
 holds seed 0 for every suite and seed 1 for closure, the one suite that
 draws from ``rng``.
+
+A third table pins the stdout of ``ygen --alpha=A --xi --pi1 --lambda=L``:
+the enveloping realization, the formal operator image and its matrix on the
+simple gl_2-module, at integral, zero and half-integral highest weights.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
 
 from sbar2lab.base import Poly2
+from sbar2lab.cli import main
 from sbar2lab.enveloping import Loc, Q1, UEnv
 from sbar2lab.gl2 import Gl2Poly, gl2_simple
 from sbar2lab.lie import D2, P1_LETTER, L_letter, Sbar, VectorField
@@ -84,6 +91,41 @@ GOLDEN_PUSHED = {
     ("y-centralizer", 0): "3470a06306b653113b08184a063c3bb0bbe042fefae146cbcd19e1a05b10557b",
 }
 
+GOLDEN_YGEN = {
+    ("1,0", "1,0"): "fd8fced0ee35d4e9a947b1e7f1a35764cc47dc35c5a7f13703c64c7d723e4654",
+    ("1,0", "3,1"): "0239a3a1f7c1329300d86a701b889f6a2cc34e3bef61c711e2362ce887ac5880",
+    ("1,0", "1/2,-1/2"): "2807cae005333f42ce946b45b5332eceafa8c94a55cb7dd3cb8a3d06523e468c",
+    ("1,0", "0,0"): "28ee6cdd238a43cb8dc73c0e35b96e9912fc1fa8658128b3084963c7aa54d177",
+    ("0,1", "1,0"): "7aecb4d13a9e6409031ff7d04a68eaba61e98009656601bc98571106db8741b3",
+    ("0,1", "3,1"): "7872e8ebce5b876d1870bc3f696bc2f7e68a34cf41bcaea3f49f6f5502bad0bf",
+    ("0,1", "1/2,-1/2"): "b21941f842b5bc00a11e8c06393593552879719616c9953c6ade0960d0aee6f7",
+    ("0,1", "0,0"): "f84d7663e88617b5bf9fc15714155d152163c97c0b4ca553ae3c11c80ef35b26",
+    ("1,-1", "1,0"): "93d76c55184f22bce002c63f248acd50ab2d7f0ce05883820184e0c3d1d22220",
+    ("1,-1", "3,1"): "dc7d5164f362e1c9bba906c041af595327a13babfd2feb561309c6d6fd415d7d",
+    ("1,-1", "1/2,-1/2"): "5b1999a389ab0ad901c3be1539b68a20a91aa17ac57cbfd446eb7bb523ebf2e5",
+    ("1,-1", "0,0"): "c163edc54b823f08af498ddc3f47414e8321115c8d51354712f91ea1a1483037",
+    ("-1,1", "1,0"): "8c83d2d58154eeb6026a0736450f9fd310c3b981be90d21dfd043d81d5f47903",
+    ("-1,1", "3,1"): "6cb4e5ac705ceb28fb0611d4f42a5beeac55ed451d8886cc112729847c8b7e83",
+    ("-1,1", "1/2,-1/2"): "273d40a05e54d5f9bcdcba8d55e0441ff1296cb783328246a76ec745da1042ab",
+    ("-1,1", "0,0"): "d4ff7596c4090ee18bfc93f775585200b4237d4e782a529314831a00c6839633",
+    ("1,1", "1,0"): "b48fd64b1a5b09cb9c2662a2909b318b700fc4f39a65b743b453d67c8baf23ac",
+    ("1,1", "3,1"): "a7ac571cdc6ef16dc73ecf6fd31c14f1deb4ca516caaeddcdfb61d18ac7d3593",
+    ("1,1", "1/2,-1/2"): "807d4f5e26832fc0b412c55fa25960e548573b61109f6b10f71f40e68e1eb118",
+    ("1,1", "0,0"): "906236664241a18b87a36a1a4be2dd029994553a0332396202bafa9541e5e474",
+    ("2,0", "1,0"): "090c8d4ccdf62c5b7aac5a658f983d3765ef1e72ae0725463671b5744ef9eb33",
+    ("2,0", "3,1"): "5ddb0c204db5ec041fc448d9473e6d1d5ddd776a44ce3e501c8f843e2f652325",
+    ("2,0", "1/2,-1/2"): "769bd73333621eb0baa66968112a20d51860d57876cbeadcc9d7338343fdaae8",
+    ("2,0", "0,0"): "8d324f542a83070c0bdddb4bd01d4f52c4572a3e5f0178185334ebbef6aadff6",
+    ("0,2", "1,0"): "c2aafde3de2c32eb3b65bea1fed710420b3ec23ec95e2b355952014ab1a504b4",
+    ("0,2", "3,1"): "98e0a4aae75abf814d110c1213f4108d02773d7ba2d320d26e2a6a5a10f29d32",
+    ("0,2", "1/2,-1/2"): "632100ff99458a9cc31eb5cc26b4878157dc61500ba4bacf292fa533b8140e1c",
+    ("0,2", "0,0"): "ddec5943317266d3fccb172a301af90a896cf7ef234cfc4b35c279fe57cf017a",
+    ("2,1", "1,0"): "ac91d4f5838e5f54f52fb01e070f68f3331a8ef8421b42c3d3be5c3ded42b6d7",
+    ("2,1", "3,1"): "3840b593a57a77a92b937d7a4e6a30bf09a4cdd1eb8d34ac20d25e08a9d25114",
+    ("2,1", "1/2,-1/2"): "5f2d3d200d501ee29f3f11271e378f5f0fa55d0d70fcb9c23588955bd958c8b0",
+    ("2,1", "0,0"): "718408a7b2747cefa7ff1d720857df183ac56783cba9a1b0358e97fd90498eac",
+}
+
 
 def _digest(name, degree, seed) -> str:
     doc = run_suite(name, degree, seed).to_dict()
@@ -104,6 +146,14 @@ def test_report_digest(name):
 @pytest.mark.parametrize("name, seed", sorted(GOLDEN_PUSHED))
 def test_pushed_report_digest(name, seed):
     assert _digest(name, PUSHED_DEGREES[name], seed) == GOLDEN_PUSHED[(name, seed)]
+
+
+@pytest.mark.parametrize("alpha, lam", sorted(GOLDEN_YGEN))
+def test_ygen_stdout_digest(alpha, lam):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["ygen", f"--alpha={alpha}", "--xi", "--pi1", f"--lambda={lam}"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN_YGEN[(alpha, lam)]
 
 
 H = Fraction(3, 2)
