@@ -24,7 +24,7 @@ from .enveloping import (
     q1_act,
     reduce_mod_I1,
 )
-from .gl2 import Gl2Module, Gl2Poly, gl2_simple
+from .gl2 import Gl2Module, Gl2Poly
 from .tmodule import (
     SigmaOp,
     TVector,

@@ -219,9 +219,6 @@ class LinComb:
     def items(self):
         return self.terms.items()
 
-    def coeff(self, key) -> Scalar:
-        return self.terms.get(key, 0)
-
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -354,9 +351,6 @@ class Poly2(LinComb):
         if not self.terms:
             return -1
         return max(mtotal(e) for e in self.terms)
-
-    def is_constant(self) -> bool:
-        return self.degree() <= 0
 
     def to_str(self, sym1: str = "t1", sym2: str = "t2") -> str:
         def body(exp):

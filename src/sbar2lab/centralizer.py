@@ -26,7 +26,7 @@ import itertools
 
 from .base import MultiIndex, Poly2, accumulate, binom2, linear, mtotal, run_memo
 from .enveloping import Loc, Q1, UEnv, q1_act, reduce_mod_I1
-from .gl2 import Gl2Poly, Matrix, gl2_simple, pi_env
+from .gl2 import Gl2Module, Gl2Poly, pi_env
 from .lie import l_indices
 from .linalg import EchelonSpan, solve
 from .tmodule import act_loc, whittaker_space
@@ -174,28 +174,23 @@ def whittaker_stability_defect(alpha: MultiIndex) -> tuple[Q1, Q1]:
 
 def pi1(alpha: MultiIndex) -> Gl2Poly:
     """Operator image of Y_a: the degree-zero truncation of xi(Y_a) pushed
-    through the identification, in canonical form; ``Gl2Poly.evaluate``
-    gives its matrix on a module."""
-    return pi_env(xi_y(alpha)).normalized()
+    through the identification, in canonical form, as every ``Gl2Poly``
+    product is; ``Gl2Poly.evaluate`` gives its matrix on a module."""
+    return pi_env(xi_y(alpha))
 
 
-def wh_action_compare(alpha: MultiIndex, lam) -> tuple[Matrix, Matrix, bool]:
-    """Matrix of Y_a on the Whittaker vectors of the type-1 tensor module
-    versus the operator image on the module itself. On the degree-0 slice
-    the Whittaker space is every constant vector 1 x v_k, in k order."""
-    module = gl2_simple(lam)
-    basis = whittaker_space(module, (1, 1), 0)
+def wh_action_compare(alpha: MultiIndex, lam) -> tuple[dict, dict, bool]:
+    """Sparse matrix ``{(row, column): c}`` of Y_a on the Whittaker vectors of the
+    type-1 tensor module versus the operator image on the module itself. On the
+    degree-0 slice the Whittaker space is every constant vector 1 x v_k, in k order."""
+    module = Gl2Module(lam)
     y = y_element(alpha)
-    cols = []
-    for w in basis:
-        image = act_loc(y, w)
-        col = [0] * module.dim
-        for (beta, k), c in image.terms.items():
+    mat_y = {}
+    for j, w in enumerate(whittaker_space(module, (1, 1), 0)):
+        for (beta, k), c in act_loc(y, w).terms.items():
             if beta != (0, 0):
                 raise AssertionError("Y did not preserve the Whittaker space")
-            col[k] = c
-        cols.append(col)
-    mat_y = tuple(tuple(cols[j][i] for j in range(module.dim)) for i in range(module.dim))
+            mat_y[k, j] = c
     mat_pi = pi1(alpha).evaluate(module)
     return mat_y, mat_pi, mat_y == mat_pi
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .base import as_scalar, run_scope
 from .centralizer import pi1, xi_y, y_element
 from .expr import eval_loc, eval_phi, eval_seed, parse_element
-from .gl2 import gl2_simple
+from .gl2 import Gl2Module
 from .report import emit_report
 from .suites import run_suite, suite_names
 from .tmodule import closure_probe, random_seed_vector, uh_freeness_check, whittaker_space
@@ -92,7 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # argparse reads a token such as "-1,1" as an option, so a pair option and
+    # a following token that starts with "-" and a digit are passed on as one
+    tokens: list[str] = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1] in ("--alpha", "--lambda", "--type") and token[:1] == "-" and token[1:2].isdigit():
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args = build_parser().parse_args(tokens)
     with run_scope():  # each Y_a and phi(letter) is built once per command
         return _run(args)
 
@@ -116,7 +124,7 @@ def _run(args) -> int:
 
         if args.command == "ygen":
             alpha = args.alpha
-            module = None if args.lam is None else gl2_simple(args.lam)  # a bad weight exits before any output
+            module = None if args.lam is None else Gl2Module(args.lam)  # a bad weight exits before any output
             if not (args.xi or args.pi1):
                 print(y_element(alpha))
                 return 0
@@ -124,14 +132,15 @@ def _run(args) -> int:
                 print(xi_y(alpha))
             if args.pi1:
                 formal = pi1(alpha)
-                matrix = () if module is None else formal.evaluate(module)
                 print(formal)
-                for row in matrix:
-                    print("  [" + ", ".join(str(c) for c in row) + "]")
+                if module is not None:
+                    matrix = formal.evaluate(module)
+                    for r in range(module.dim):
+                        print("  [" + ", ".join(str(matrix.get((r, k), 0)) for k in range(module.dim)) + "]")
             return 0
 
         if args.command == "whittaker":
-            module = gl2_simple(args.lam)
+            module = Gl2Module(args.lam)
             basis = whittaker_space(module, args.a, args.degree)
             print(f"dim = {len(basis)}")
             for w in basis:
@@ -139,7 +148,7 @@ def _run(args) -> int:
             return 0
 
         if args.command == "closure":
-            module = gl2_simple(args.lam)
+            module = Gl2Module(args.lam)
             a = args.a
             if args.seed_expr.strip() == "random":
                 seed_vec = random_seed_vector(module, a, random.Random(args.seed))
@@ -155,7 +164,7 @@ def _run(args) -> int:
             return 0
 
         if args.command == "freeness":
-            module = gl2_simple(args.lam)
+            module = Gl2Module(args.lam)
             report = uh_freeness_check(module, args.a, args.degree)
             print(
                 f"rank {report['rank']} of {report['expected']} "

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .base import E1, E2, LinComb, MultiIndex, Scalar, accumulate, gbinom, linear, qdiv, terms_str
+from .base import E1, E2, LinComb, MultiIndex, accumulate, gbinom, linear, qdiv, terms_str
 from .lie import (
     _AD_CAP,
     PARTIALS,
@@ -57,21 +57,12 @@ def pbw_engine(bracket, rank=None):
         for i in range(len(word) - 1):
             if ranks[i] > ranks[i + 1]:
                 x, y = word[i], word[i + 1]
-                acc: dict = {}
-                _merge(acc, nf(word[:i] + (y, x) + word[i + 2:]), 1)
-                for letter, c in bracket(x, y):
-                    _merge(acc, nf(word[:i] + (letter,) + word[i + 2:]), c)
-                return acc
+                head, tail = word[:i], word[i + 2:]
+                rewrite = [(head + (y, x) + tail, 1)] + [(head + (letter,) + tail, c) for letter, c in bracket(x, y)]
+                return linear(rewrite, nf, dict)
         return {word: 1}
 
     return nf
-
-
-def _merge(acc: dict, other: dict, c: Scalar) -> None:
-    if not c:
-        return
-    for key, v in other.items():
-        accumulate(acc, key, c * v)
 
 
 _nf = pbw_engine(letter_bracket)
@@ -256,8 +247,6 @@ def _partials_past_word(m: MultiIndex, word: Word) -> dict:
 class Q1(LinComb):
     """Residue class in the universal Whittaker module; keys are words
     without constant-field letters, acting on the cyclic vector."""
-
-    unit_key: Word = ()
 
     @classmethod
     def cyclic(cls) -> "Q1":

@@ -17,11 +17,9 @@ canonically rather than only by matrix evaluation.
 
 from __future__ import annotations
 
-from .base import LinComb, Scalar, as_scalar, linear, terms_str
+from .base import LinComb, as_scalar, linear, terms_str
 from .enveloping import pbw_engine
 from .lie import D2, letter_alpha, letter_degree
-
-Matrix = tuple[tuple[Scalar, ...], ...]
 
 
 class Gl2Module:
@@ -63,10 +61,6 @@ class Gl2Module:
         return f"Gl2Module(lam={self.lam}, dim={self.dim})"
 
 
-def gl2_simple(lam: tuple) -> Gl2Module:
-    return Gl2Module(lam)
-
-
 # --- formal noncommutative polynomials in the E_ij -------------------------
 
 GL_LETTERS = ((2, 1), (1, 1), (2, 2), (1, 2))  # PBW order: lowering, Cartan, raising
@@ -88,7 +82,8 @@ _gl_nf = pbw_engine(_gl_letter_bracket, _GL_RANK)
 
 
 class Gl2Poly(LinComb):
-    """Formal polynomial in the E_ij; keys are words of (i, j) pairs."""
+    """Formal polynomial in the E_ij; keys are words of (i, j) pairs. Products are
+    PBW-normal (E21, E11, E22, E12 order), so ``one() * x`` normalizes raw words."""
 
     unit_key: tuple = ()
 
@@ -99,13 +94,9 @@ class Gl2Poly(LinComb):
     def gen(cls, i: int, j: int) -> "Gl2Poly":
         return cls({((i, j),): 1})
 
-    def normalized(self) -> "Gl2Poly":
-        """Canonical PBW form (E21 words first, then E11, E22, E12)."""
-        return self.one() * self
-
-    def evaluate(self, module: Gl2Module) -> Matrix:
-        """The matrix on ``module``: each word acts on every v_k one letter at a
-        time, from the right, through the sparse columns; entries keyed (row, column)."""
+    def evaluate(self, module: Gl2Module) -> dict:
+        """The sparse matrix ``{(row, column): c}`` on ``module``: each word acts on
+        every v_k one letter at a time, from the right, through the sparse columns."""
 
         def word_matrix(word) -> dict:
             m = {(k, k): 1 for k in range(module.dim)}
@@ -114,7 +105,7 @@ class Gl2Poly(LinComb):
             return m
 
         entries = linear(self.terms.items(), word_matrix, dict)
-        return tuple(tuple(as_scalar(entries.get((r, k), 0)) for k in range(module.dim)) for r in range(module.dim))
+        return {rc: as_scalar(c) for rc, c in entries.items()}
 
     def __str__(self):
         order = sorted(self.terms, key=lambda w: (len(w), tuple(_GL_RANK[l] for l in w)))

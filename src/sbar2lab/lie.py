@@ -66,6 +66,11 @@ def l_indices(lo: int, hi: int) -> list[MultiIndex]:
     return [(a1, g - a1) for g in range(max(lo, -1), hi + 1) for a1 in range(-1, g + 2)]
 
 
+def letter_window(d: int) -> list[Letter]:
+    """The letters of degree <= d: d2, then L_a with -1 <= |a| <= d in ``l_indices`` order."""
+    return [D2] + [L_letter(alpha) for alpha in l_indices(-1, d)]
+
+
 def letter_alpha(letter: Letter) -> MultiIndex | None:
     """The L-index of a letter, or None for d2."""
     if letter == D2:
@@ -256,7 +261,7 @@ def vf_to_sbar(x: VectorField) -> Sbar:
             accumulate(coords, L_letter((exp[0], -1)), -qdiv(c, exp[0] + 1))
         else:
             div = divergence(x)
-            detail = "non-constant divergence" if not div.is_constant() else f"stray term t^{exp}*p2"
+            detail = "non-constant divergence" if div.degree() > 0 else f"stray term t^{exp}*p2"
             raise ValueError(f"field is not in the constant-divergence algebra: {detail}")
     return Sbar(coords)
 

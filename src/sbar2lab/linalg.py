@@ -91,25 +91,14 @@ class EchelonSpan:
         self._key_rank = key_rank
         self._rows: dict = {}  # pivot key -> primitive int row, positive at its pivot
 
-    def _residual(self, vec: dict) -> tuple[dict, int]:
-        """(v, s): an int vector v, 0 at every pivot, with v / s equal to
-        ``vec`` minus an element of the span."""
-        v, s = _integral(vec)
+    def add(self, vec: dict):
+        """Reduce and insert; returns the stored int row if the rank grew, else None."""
+        row = _integral(vec)
         # a stored row is 0 at every other pivot, so cancelling one pivot
         # leaves the others' coefficients nonzero or zero as they were: one
         # pass suffices
-        for pivot in [k for k in v if k in self._rows]:
-            s *= _eliminate(v, pivot, self._rows[pivot])
-        return v, s
-
-    def reduce(self, vec: dict) -> dict:
-        """``vec`` minus the element of the span that cancels it at every pivot."""
-        v, s = self._residual(vec)
-        return v if s == 1 else {k: qdiv(c, s) for k, c in v.items()}
-
-    def add(self, vec: dict):
-        """Reduce and insert; returns the stored int row if the rank grew, else None."""
-        row, _ = self._residual(vec)
+        for pivot in [k for k in row if k in self._rows]:
+            _eliminate(row, pivot, self._rows[pivot])
         if not row:
             return None
         pivot = min(row, key=self._key_rank)
@@ -128,9 +117,6 @@ class EchelonSpan:
         p = row[pivot]
         return dict(row) if p == 1 else {k: qdiv(c, p) for k, c in row.items()}
 
-    def contains(self, vec: dict) -> bool:
-        return not self._residual(vec)[0]
-
     @property
     def rank(self) -> int:
         return len(self._rows)
@@ -139,9 +125,9 @@ class EchelonSpan:
         return list(self._rows)
 
 
-def _integral(vec: dict) -> tuple[dict, int]:
-    """(v, d): the nonzero entries of ``vec`` times their least common
-    denominator d, as ints; an inexact entry is rejected by ``as_scalar``."""
+def _integral(vec: dict) -> dict:
+    """The nonzero entries of ``vec`` times their least common denominator,
+    as ints; an inexact entry is rejected by ``as_scalar``."""
     v = {}
     d = 1
     for k, c in vec.items():
@@ -152,13 +138,13 @@ def _integral(vec: dict) -> tuple[dict, int]:
     if d != 1:
         for k, c in v.items():
             v[k] = c.numerator * (d // c.denominator)
-    return v, d
+    return v
 
 
-def _eliminate(v: dict, pivot, row: dict) -> int:
+def _eliminate(v: dict, pivot, row: dict) -> None:
     """Cancel ``v[pivot]`` in place with ``row``, an int row positive at
     ``pivot``: v <- m * v - c * row for the least m > 0 that does it, so no
-    entry is divided. Returns m."""
+    entry is divided."""
     c = v.pop(pivot)
     m = row[pivot]
     if m != 1:
@@ -171,7 +157,6 @@ def _eliminate(v: dict, pivot, row: dict) -> int:
     for k, r in row.items():
         if k != pivot:
             accumulate(v, k, -c * r)
-    return m
 
 
 def _make_primitive(v: dict, sign: int) -> None:

@@ -49,7 +49,6 @@ class SuiteReport:
         return self.summary()[FAIL]
 
     def to_dict(self) -> dict:
-        summary = self.summary()
         return {
             "schema_version": SCHEMA_VERSION,
             "suite": self.suite,
@@ -65,11 +64,7 @@ class SuiteReport:
                 }
                 for c in self.cases
             ],
-            "summary": {
-                "pass": summary[PASS],
-                "fail": summary[FAIL],
-                "inconclusive": summary[INCONCLUSIVE],
-            },
+            "summary": self.summary(),
             "wall_time_ms": self.wall_time_ms,
         }
 

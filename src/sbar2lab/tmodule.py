@@ -41,7 +41,7 @@ from .base import (
 )
 from .enveloping import Loc, Word, loc_act
 from .gl2 import Gl2Module, pi_letter
-from .lie import D2, PARTIALS, L_letter, Letter, Sbar, l_indices, letter_degree
+from .lie import D2, PARTIALS, L_letter, Letter, Sbar, letter_degree, letter_window
 from .linalg import EchelonSpan, nullspace
 from .weyl import phi_letter
 
@@ -325,7 +325,7 @@ def uh_freeness_check(module: Gl2Module, a, degree: int) -> dict:
                     w = linear(d1, lambda kernel: _act_terms(kernel, w), dict)
                 span.add(w)
             d2_power = _act_terms(d2, d2_power)
-    count = (degree + 1) * (degree + 2) // 2
+    count = len(exponents(degree))
     expected = count * module.dim
     return {
         "rank": span.rank,
@@ -392,7 +392,7 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     # each generator as (worst-case degree raise, compiled kernel)
     generators = [
         (letter_degree(letter) + 1, _letter_kernel(letter, seed.module, seed.a))
-        for letter in [D2] + [L_letter(idx) for idx in l_indices(-1, gen_degree)]
+        for letter in letter_window(gen_degree)
     ]
 
     def key_rank(key: TKey):
@@ -426,7 +426,7 @@ def closure_probe(seed: TVector, degree: int, gen_degree: int) -> dict:
     table = {}
     for d in range(window + 1):
         closure_dim = sum(1 for pd in pivot_degrees if pd <= d)
-        ambient = (d + 1) * (d + 2) // 2 * seed.module.dim
+        ambient = len(slice_keys(seed.module, d))
         table[d] = (closure_dim, ambient)
     return {
         "window": window,

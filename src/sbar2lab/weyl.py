@@ -96,10 +96,6 @@ class Weyl(LinComb):
         return cls({(t_exp, d_exp): c})
 
     @classmethod
-    def t(cls, i: int) -> "Weyl":
-        return cls.monomial((1, 0) if i == 1 else (0, 1), (0, 0))
-
-    @classmethod
     def partial(cls, i: int) -> "Weyl":
         return cls.monomial((0, 0), (1, 0) if i == 1 else (0, 1))
 

@@ -49,6 +49,31 @@ def test_ygen_rejects_a_bad_lambda_before_printing(capsys):
     assert out.out == "" and "highest weight difference must be a nonnegative integer" in out.err
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["ygen", "--alpha", "-1,1", "--pi1", "--lambda", "1,0"], ["ygen", "--alpha=-1,1", "--pi1", "--lambda=1,0"]),
+        (
+            ["whittaker", "--lambda", "0,0", "--type", "-1,1", "--degree", "1"],
+            ["whittaker", "--lambda=0,0", "--type=-1,1", "--degree", "1"],
+        ),
+        (["freeness", "--lambda", "-1/2,-1/2", "--degree", "1"], ["freeness", "--lambda=-1/2,-1/2", "--degree", "1"]),
+    ],
+)
+def test_a_negative_pair_reads_the_same_after_a_space(spaced, joined, capsys):
+    assert main(joined) == 0
+    expected = capsys.readouterr().out
+    assert main(spaced) == 0
+    assert capsys.readouterr().out == expected != ""
+
+
+def test_a_pair_option_still_needs_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ygen", "--alpha", "--xi"])
+    assert exc.value.code == 2
+    assert "--alpha: expected one argument" in capsys.readouterr().err
+
+
 def test_whittaker_and_freeness(capsys):
     assert main(["whittaker", "--lambda", "2,0", "--type", "1,1", "--degree", "3"]) == 0
     assert "dim = 3" in capsys.readouterr().out

@@ -21,7 +21,7 @@ from sbar2lab.enveloping import (
     reduce_mod_I1,
     split_tail_partials,
 )
-from sbar2lab.gl2 import gl2_simple
+from sbar2lab.gl2 import Gl2Module
 from sbar2lab.lie import D2, L_letter, P1_LETTER, P2_LETTER, letter_bracket
 from sbar2lab.linalg import EchelonSpan
 from sbar2lab.tmodule import act_loc, act_partial, act_word, random_seed_vector
@@ -319,5 +319,5 @@ def test_q1_act_matches_the_term_by_term_oracle(x, vector_terms):
 )
 def test_act_loc_matches_the_term_by_term_oracle(x, a, lam, seed):
     # a nonsingular type, so every negative power acts
-    v = random_seed_vector(gl2_simple(lam), a, random.Random(seed))
+    v = random_seed_vector(Gl2Module(lam), a, random.Random(seed))
     assert act_loc(x, v) == loc_act_by_term(x, v, act_partial, act_word, a)

@@ -19,7 +19,7 @@ from test_golden import REDUCED_DEGREES
 from sbar2lab import base
 from sbar2lab.base import run_scope
 from sbar2lab.centralizer import pi1, y_indices
-from sbar2lab.gl2 import gl2_simple
+from sbar2lab.gl2 import Gl2Module
 from sbar2lab.lie import D2
 from sbar2lab.suites import run_suite, suite_names
 from sbar2lab.tmodule import BasisImages
@@ -68,7 +68,7 @@ def test_suite_scalars_are_canonical(name, monkeypatch):
 def test_basis_images_sums_are_canonical():
     # pairs_on sums raw table coefficients, so two halves of an integral
     # value are coerced when the sum is translated back to keys
-    images = BasisImages(gl2_simple((1, 0)), (1, 1))
+    images = BasisImages(Gl2Module((1, 0)), (1, 1))
     got = images.pairs_on([(D2, D2, Fraction(1, 2))] * 2, ((0, 1), 0))
     assert got == {((0, 1), 0): 1, ((0, 2), 0): 3, ((0, 3), 0): 1}
     assert {_kind(c) for c in got.values()} == {"int"}
@@ -78,8 +78,8 @@ def test_basis_images_sums_are_canonical():
 def test_operator_image_entries_are_canonical(lam):
     # at a half-integral weight the diagonal entries are Fractions, and their
     # products and sums can be integral: those entries come back as ints
-    module = gl2_simple(lam)
+    module = Gl2Module(lam)
     with run_scope():
-        kinds = Counter(_kind(x) for alpha in y_indices(3) for row in pi1(alpha).evaluate(module) for x in row)
+        kinds = Counter(_kind(x) for alpha in y_indices(3) for x in pi1(alpha).evaluate(module).values())
     assert set(kinds) <= {"int", "Fraction"}, kinds
     assert kinds["int"] > 0

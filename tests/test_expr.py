@@ -14,7 +14,7 @@ from sbar2lab.expr import (
     parse_element,
     print_element,
 )
-from sbar2lab.gl2 import gl2_simple
+from sbar2lab.gl2 import Gl2Module
 from sbar2lab.tmodule import TVector
 from sbar2lab.weyl import phi_L, phi_d2, phi_poly
 
@@ -104,7 +104,7 @@ def test_eval_phi():
 
 
 def test_eval_seed():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     got = eval_seed(parse_element("v0 + v1"), m, (1, 1))
     expect = TVector.basis(m, (1, 1), (0, 0), 0) + TVector.basis(m, (1, 1), (0, 0), 1)
     assert got == expect

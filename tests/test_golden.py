@@ -27,7 +27,7 @@ import pytest
 from sbar2lab.base import Poly2
 from sbar2lab.cli import main
 from sbar2lab.enveloping import Loc, Q1, UEnv
-from sbar2lab.gl2 import Gl2Poly, gl2_simple
+from sbar2lab.gl2 import Gl2Module, Gl2Poly
 from sbar2lab.lie import D2, P1_LETTER, L_letter, Sbar, VectorField
 from sbar2lab.suites import run_suite, suite_names
 from sbar2lab.tmodule import TVector
@@ -195,7 +195,7 @@ PRINTED = [
         "2 + E11 - E21*E12 + 3/2*E22*E22",
     ),
     (
-        TVector({((0, 0), 0): 1, ((1, 0), 1): -1, ((0, 2), 0): H}, a=(1, 1), module=gl2_simple((1, 0))),
+        TVector({((0, 0), 0): 1, ((1, 0), 1): -1, ((0, 2), 0): H}, a=(1, 1), module=Gl2Module((1, 0))),
         "v0 - t1*v1 + 3/2*t2^2*v0",
     ),
 ]

@@ -19,6 +19,7 @@ from sbar2lab.lie import (
     l_basis,
     l_indices,
     letter_degree,
+    letter_window,
     sbar_bracket,
     sbar_to_vf,
     scaling_twist,
@@ -155,6 +156,48 @@ def test_bracket_crosscheck_suite_fails_on_one_flipped_bracket(monkeypatch, name
     assert getattr(lie, name)(k1, k2)
     _flip_one(monkeypatch, name, k1, k2)
     assert [case for case in run_suite("bracket-crosscheck", 1).cases if case.status == FAIL]
+
+
+def _antisymmetry_failures(letters) -> list:
+    """(x, y, route) for every ordered letter pair whose bracket is not minus
+    the reversed one, on the letters' Sbar elements and on their fields."""
+    sb = {x: Sbar({x: 1}) for x in letters}
+    vf = {x: sbar_to_vf(sb[x]) for x in letters}
+    failures = []
+    for x, y in itertools.product(letters, repeat=2):
+        if sbar_bracket(sb[x], sb[y]) != -sbar_bracket(sb[y], sb[x]):
+            failures.append((x, y, "letters"))
+        if vf_bracket(vf[x], vf[y]) != -vf_bracket(vf[y], vf[x]):
+            failures.append((x, y, "fields"))
+    return failures
+
+
+def test_brackets_are_antisymmetric():
+    letters = letter_window(4)
+    assert len(letters) == 28
+    assert _antisymmetry_failures(letters) == []
+
+
+@pytest.mark.parametrize(
+    "name, k1, k2, route",
+    [
+        ("letter_bracket", L_letter((1, 0)), L_letter((0, 1)), "letters"),
+        ("_vf_key_bracket", ((2, 0), 1), ((1, 0), 1), "fields"),
+    ],
+)
+def test_antisymmetry_fails_on_one_flipped_bracket(monkeypatch, name, k1, k2, route):
+    # negative control: one wrong key bracket breaks the pair it is on, in
+    # both orders, on its own route only
+    _flip_one(monkeypatch, name, k1, k2)
+    failures = _antisymmetry_failures(letter_window(4))
+    assert len(failures) == 2 and {r for _, _, r in failures} == {route}
+
+
+def test_letter_window_is_d2_and_the_l_indices():
+    for d in range(-1, 5):
+        window = letter_window(d)
+        assert window[0] == D2 and sorted(window) == sorted(letters_up_to(d))
+        assert [letter_degree(x) for x in window[1:]] == sorted(letter_degree(x) for x in window[1:])
 
 
 def test_bracket_crosscheck_window():

@@ -89,10 +89,12 @@ def test_echelon_span_membership_and_pivot_blocks():
     span.add({3: Fraction(1), 0: Fraction(2)})
     span.add({1: Fraction(1)})
     assert span.rank == 2
-    assert span.contains({3: Fraction(2), 0: Fraction(4)})
-    assert not span.contains({0: Fraction(1)})
+    # a member leaves the span as it is
+    assert span.add({3: Fraction(2), 0: Fraction(4)}) is None and span.rank == 2
     # one pivot in the high block (key 3), one in the low block (key 1)
     assert sorted(span.pivot_keys()) == [1, 3]
+    # a non-member grows it
+    assert span.add({0: Fraction(1)}) == {0: 1} and span.rank == 3
 
 
 def test_echelon_rows_stay_reduced():
@@ -122,7 +124,8 @@ def test_stored_rows_are_primitive_int_vectors():
     # the second row cancels key 1 in the first: 3 * (2, 3, 1) - (0, 9, -2)
     assert span._rows == {0: {0: 6, 2: 5}, 1: {1: 9, 2: -2}}
     assert span.reduced_row(1) == {1: 1, 2: Fraction(-2, 9)}
-    assert span.reduce({0: 1}) == {2: Fraction(-5, 6)}
+    # (1, 0, 5/6) is the first row over 6, so it is in the span
+    assert span.add({0: 1, 2: Fraction(5, 6)}) is None and span.rank == 2
     # 3 * (-2, 0, 0, 5) + (6, 0, 5, 0) has its pivot at key 2
     assert span.add({0: -2, 3: 5}) == {2: 1, 3: 3}
     assert span._rows == {0: {0: 2, 3: -5}, 1: {1: 3, 3: 2}, 2: {2: 1, 3: 3}}
@@ -165,7 +168,7 @@ def gauss_jordan(rows):
 class NormalizingSpan:
     """The sparse eliminator as it was before its rows became fraction-free:
     every row is scaled to 1 at its pivot with a Fraction inverse. Kept as an
-    oracle; it has the same pivots, reduced rows and residuals."""
+    oracle; it has the same pivots and reduced rows."""
 
     def __init__(self, key_rank=None):
         self._key_rank = key_rank
@@ -342,17 +345,22 @@ def test_pivot_keys_do_not_depend_on_insertion_order(m, rng):
 
 @PROPERTY
 @given(matrices(), matrices(min_rows=1))
-def test_reduce_leaves_no_pivot_and_removes_a_span_element(m, probes):
+def test_add_grows_the_rank_exactly_off_the_span(m, probes):
+    # a probe in the span leaves it as it is; any other probe adds one row,
+    # and then it is in the span. The dense reference counts the rank of
+    # every vector added so far, over the at most 5 columns of ``matrices``
     span = EchelonSpan()
-    for v in as_vectors(m):
+    vectors = as_vectors(m)
+    for v in vectors:
         span.add(v)
     for v in as_vectors(probes):
-        rem = span.reduce(v)
-        assert not set(rem) & set(span.pivot_keys())
-        diff = dict(v)
-        for k, c in rem.items():
-            accumulate(diff, k, -c)
-        assert span.contains(diff)
+        vectors.append(v)
+        expected = len(gauss_jordan([[w.get(j, 0) for j in range(5)] for w in vectors])[1])
+        rank = span.rank
+        stored = span.add(v)
+        assert span.rank == rank + (stored is not None) == expected
+        assert span.add(v) is None and span.rank == expected
+        assert_primitive_rows(span)
 
 
 ANY_MATRICES = st.one_of(matrices(), matrices(scalars=WIDE_SCALARS))
@@ -362,7 +370,7 @@ ANY_MATRICES = st.one_of(matrices(), matrices(scalars=WIDE_SCALARS))
 @given(ANY_MATRICES, matrices(min_rows=1, scalars=WIDE_SCALARS), st.sampled_from([None, lambda k: -k]))
 def test_span_matches_the_normalizing_oracle(m, probes, key_rank):
     span, oracle = EchelonSpan(key_rank), NormalizingSpan(key_rank)
-    for v in as_vectors(m):
+    for v in as_vectors(m) + as_vectors(probes):
         stored, expected = span.add(v), oracle.add(v)
         assert (stored is None) == (expected is None)
         if stored is not None:
@@ -373,10 +381,6 @@ def test_span_matches_the_normalizing_oracle(m, probes, key_rank):
     assert set(span.pivot_keys()) == set(oracle._rows)
     for pivot, row in oracle._rows.items():
         assert same_scalars(span.reduced_row(pivot), row)
-    for v in as_vectors(probes):
-        rem = span.reduce(v)
-        assert same_scalars(rem, oracle.reduce(v))
-        assert span.contains(v) == (not rem)
 
 
 @PROPERTY

@@ -168,11 +168,11 @@ def _is_row_update(node) -> bool:
 
 def test_linalg_has_one_elimination_routine():
     # elimination runs on int rows: a row is scaled to 1 at its pivot only
-    # when it is read out, and reduce rescales its residual once at the end
+    # when reduced_row reads it out
     linalg = MODULES["linalg.py"]
-    readout = [_method("linalg.py", "EchelonSpan", name) for name in ("reduced_row", "reduce")]
+    readout = _method("linalg.py", "EchelonSpan", "reduced_row")
     sites = sorted(node.lineno for node in _calls(linalg, "qdiv"))
-    assert sites == sorted(node.lineno for tree in readout for node in _calls(tree, "qdiv")), sites
+    assert sites and sites == sorted(node.lineno for node in _calls(readout, "qdiv")), sites
     names = {getattr(node, field, None) for node in ast.walk(linalg) for field in ("id", "attr", "name")}
     assert "Fraction" not in names
     # _eliminate makes the only row update, so a second elimination loop,
@@ -357,6 +357,59 @@ def test_sums_over_terms_go_through_linear():
     assert sites == []
     planted = "def f(x):\n    out = 0\n    for k, c in x.items():\n        out = out + c\n    return out\n"
     assert _self_sums_over_items(ast.parse(planted)) == [4]
+
+
+def _scaled_copy_loops(tree) -> list:
+    """(function, line) of ``accumulate(acc, key, ... * v)`` calls inside a
+    loop ``for key, v in other.items()`` with ``acc`` a parameter of the
+    function: a private linear extension that adds a multiple of one dict to
+    another, key for key."""
+    sites = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        params = {arg.arg for arg in fn.args.args}
+        for loop in ast.walk(fn):
+            if not (
+                isinstance(loop, ast.For)
+                and isinstance(loop.iter, ast.Call)
+                and isinstance(loop.iter.func, ast.Attribute)
+                and loop.iter.func.attr == "items"
+                and isinstance(loop.target, ast.Tuple)
+                and all(isinstance(e, ast.Name) for e in loop.target.elts)
+            ):
+                continue
+            key, value = (e.id for e in loop.target.elts)
+            for call in _calls(loop, "accumulate"):
+                acc, k, c = call.args
+                if (
+                    isinstance(acc, ast.Name)
+                    and acc.id in params
+                    and isinstance(k, ast.Name)
+                    and k.id == key
+                    and isinstance(c, ast.BinOp)
+                    and isinstance(c.op, ast.Mult)
+                    and any(isinstance(n, ast.Name) and n.id == value for n in ast.walk(c))
+                ):
+                    sites.append((fn.name, call.lineno))
+    return sites
+
+
+def test_linear_combinations_of_dicts_go_through_linear():
+    # a sum of multiples of term dicts is base.linear over (key, c) pairs;
+    # _eliminate is the one row update of the eliminator (see
+    # test_linalg_has_one_elimination_routine)
+    allowed = {("base.py", "linear"), ("linalg.py", "_eliminate")}
+    sites = [(name, fn, line) for name, tree in MODULES.items() for fn, line in _scaled_copy_loops(tree)]
+    assert [site for site in sites if site[:2] not in allowed] == []
+    assert ("linalg.py", "_eliminate") in {site[:2] for site in sites}
+    planted = (
+        "def _merge(acc, other, c):\n    if not c:\n        return\n"
+        "    for key, v in other.items():\n        accumulate(acc, key, c * v)\n\n"
+        "def f(acc, other, c):\n    out = {}\n    for key, v in other.items():\n"
+        "        accumulate(out, key, c * v)\n        accumulate(acc, (key, 1), c * v)\n        accumulate(acc, key, v)\n"
+    )
+    assert _scaled_copy_loops(ast.parse(planted)) == [("_merge", 5)]
 
 
 def test_weyl_reordering_sum_is_written_out_once():
@@ -613,6 +666,26 @@ def test_suites_build_cases_through_one_constructor():
     assert _nested_functions_with_defaults(ast.parse(planted)) == [3, 6]
 
 
+def _is_call_to(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
+
+def _dense_column_sites(tree) -> list:
+    """Lines of zero-filled lists such as ``[0] * n`` and of tuple-of-tuples
+    builds such as ``tuple(tuple(...) for ...)``."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.List))
+        or (
+            _is_call_to(node, "tuple")
+            and node.args
+            and isinstance(node.args[0], ast.GeneratorExp)
+            and _is_call_to(node.args[0].elt, "tuple")
+        )
+    )
+
+
 def _dense_matrix_sites(tree) -> list:
     """Lines of functions named ``mat_*`` and of zero-filled list-of-lists
     matrices, a comprehension of repeated rows such as ``[[0] * n for _ in range(n)]``."""
@@ -630,13 +703,19 @@ def _dense_matrix_sites(tree) -> list:
 
 
 def test_gl2_modules_have_no_dense_matrix_form():
-    # a gl_2-module stores sparse columns, and Gl2Poly.evaluate builds its
-    # matrix once from them; a mat_* helper or a zero-filled list-of-lists
-    # matrix is a second, dense form of the same data. (The dense system that
-    # y_generation_search hands to solve goes with the dense rref.)
+    # a gl_2-module stores sparse columns, and Gl2Poly.evaluate returns the
+    # sparse {(row, column): c} matrix it builds from them; a mat_* helper or
+    # a zero-filled list-of-lists matrix is a second, dense form of the same
+    # data. (The dense system that y_generation_search hands to solve goes
+    # with the dense rref.)
     assert [(name, line) for name, tree in MODULES.items() for line in _dense_matrix_sites(tree)] == []
     planted = (
         "def mat_zero(n):\n    return [[0] * n for _ in range(n)]\n\n"
         "def f(n):\n    return [[0] * n] * n, [[Fraction(0)] * n for _ in range(n)], [0] * n\n"
     )
     assert _dense_matrix_sites(ast.parse(planted)) == [1, 2, 5]
+    # wh_action_compare builds the module route's matrix in the same sparse
+    # form, not as [0] * n columns transposed into a tuple of tuples
+    assert _dense_column_sites(MODULES["centralizer.py"]) == []
+    planted = "col = [0] * n\nmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))\nrow = tuple(x for x in col)\n"
+    assert _dense_column_sites(ast.parse(planted)) == [1, 2]

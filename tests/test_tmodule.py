@@ -11,11 +11,11 @@ from sbar2lab import base, enveloping, suites, tmodule
 from sbar2lab.base import E2, Poly2, accumulate, madd, qdiv, run_scope
 from sbar2lab.centralizer import y_element, y_indices
 from sbar2lab.enveloping import Loc, UEnv
-from sbar2lab.gl2 import Gl2Poly, gl2_simple, pi_letter
-from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, sbar_bracket
+from sbar2lab.gl2 import Gl2Module, Gl2Poly, pi_letter
+from sbar2lab.lie import D2, L_letter, Sbar, l_basis, letter_alpha, letter_window, sbar_bracket
 from sbar2lab.linalg import EchelonSpan
 from sbar2lab.report import FAIL, PASS
-from sbar2lab.suites import LAMBDA_GRID, _letters, run_suite
+from sbar2lab.suites import LAMBDA_GRID, run_suite
 from sbar2lab.tmodule import (
     BasisImages,
     SigmaOp,
@@ -56,7 +56,7 @@ SCOPED_PROPERTY = settings(max_examples=200, deadline=None, suppress_health_chec
 
 
 def test_action_examples():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     w0 = basis(m, (1, 1), (0, 0), 0)
     w1 = basis(m, (1, 1), (0, 0), 1)
     assert act_partial(1, w0) == w0
@@ -67,7 +67,7 @@ def test_action_examples():
 
 
 def test_action_dispatcher():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     w0 = basis(m, (1, 1), (0, 0), 0)
     assert act_sbar(Sbar.d2(), w0) == act_letter(D2, w0)
     assert act_loc(Loc.from_uenv(UEnv.d2()), w0) == act_letter(D2, w0)
@@ -75,7 +75,7 @@ def test_action_dispatcher():
 
 
 def test_derived_vectors_reuse_the_coerced_type_vector():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     w = TVector({((0, 0), 0): 1}, a=(Fraction(2), Fraction(1, 2)), module=m)
     assert w.a == (2, Fraction(1, 2)) and type(w.a[0]) is int
     # sums, scalings and actions copy a, they do not coerce it again
@@ -100,7 +100,7 @@ def test_type_vector_entry_points_reject_a_float(build, a):
     # each place a type vector enters the module coerces it exactly once,
     # so a float in either slot raises before any arithmetic runs
     with pytest.raises(TypeError, match="exact rational"):
-        build(gl2_simple((1, 0)), a)
+        build(Gl2Module((1, 0)), a)
 
 
 SMALL_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
@@ -109,7 +109,7 @@ SMALL_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_val
 @st.composite
 def tensor_vectors(draw):
     """Random vectors on T(a, V) for small lam, with a_i = 0 allowed."""
-    module = gl2_simple(draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 0), (3, 1)])))
+    module = Gl2Module(draw(st.sampled_from([(0, 0), (1, 0), (1, 1), (2, 0), (3, 1)])))
     a = (draw(SMALL_SCALARS), draw(SMALL_SCALARS))
     key = st.tuples(st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(0, module.dim - 1))
     terms = draw(st.dictionaries(key, SMALL_SCALARS, max_size=8))
@@ -131,7 +131,7 @@ def test_partial_is_the_shifted_derivative(w, i):
 
 @pytest.mark.usefixtures("scoped")
 @SCOPED_PROPERTY
-@given(tensor_vectors(), st.sampled_from(_letters(2)))
+@given(tensor_vectors(), st.sampled_from(letter_window(2)))
 def test_act_letter_is_linear(w, letter):
     # BasisImages rests on this: the images of basis keys determine the
     # action on every vector
@@ -142,7 +142,7 @@ def test_act_letter_is_linear(w, letter):
 
 
 def test_localized_action_inverts():
-    m = gl2_simple((2, 0))
+    m = Gl2Module((2, 0))
     w = basis(m, (1, 2), (2, 1), 1) + basis(m, (1, 2), (0, 0), 0) * Fraction(3, 2)
     for i in (1, 2):
         assert act_loc(Loc.partial(i, -1), act_partial(i, w)) == w
@@ -169,7 +169,7 @@ def _y_partial_commutations(module):
 @pytest.mark.usefixtures("scoped")
 def test_y_commutes_with_the_partials_on_every_basis_vector():
     # Y_a lies in the centralizer of d/dt_1 and d/dt_2
-    checks = list(_y_partial_commutations(gl2_simple((1, 0))))
+    checks = list(_y_partial_commutations(Gl2Module((1, 0))))
     assert len(checks) == 528 and all(checks)
 
 
@@ -181,7 +181,7 @@ def test_y_partial_commutation_reaches_the_inverse_series(monkeypatch):
         return term + (partial(i, term) - term * s) * -qdiv(1, s)
 
     monkeypatch.setattr(enveloping, "partial_inverse", truncated)
-    assert not all(_y_partial_commutations(gl2_simple((1, 0))))
+    assert not all(_y_partial_commutations(Gl2Module((1, 0))))
 
 
 @pytest.mark.usefixtures("scoped")
@@ -193,7 +193,7 @@ def test_module_axiom_window():
         if (a1, a2) != (-1, -1) and -1 <= a1 + a2 <= 1
     ]
     for lam, a in (((1, 0), (1, 1)), ((1, 1), (1, 0)), ((2, 0), (0, 0))):
-        m = gl2_simple(lam)
+        m = Gl2Module(lam)
         vecs = [
             basis(m, a, (b1, b2), k)
             for b1 in range(3)
@@ -226,15 +226,15 @@ def act_tensoralg(el, w: TVector) -> TVector:
         op = Weyl({weyl_key: 1})
         for k, f in polys.items():
             for exp, c in a2a_act(op, f).poly.items():
-                for kk in range(module.dim):
-                    if mat[kk][k]:
-                        accumulate(out, (exp, kk), coeff * c * mat[kk][k])
+                for (kk, j), e in mat.items():
+                    if j == k:
+                        accumulate(out, (exp, kk), coeff * c * e)
     return TVector(out, a=w.a, module=module)
 
 
 @pytest.mark.usefixtures("scoped")
 @SCOPED_PROPERTY
-@given(tensor_vectors(), st.sampled_from(_letters(2)))
+@given(tensor_vectors(), st.sampled_from(letter_window(2)))
 def test_display_matches_generator_images(w, letter):
     # act_letter runs on recipes read off phi; the oracle acts with the
     # generator image phi(letter) itself
@@ -245,7 +245,7 @@ def test_display_matches_generator_images(w, letter):
 @given(
     st.sampled_from([(0, 0), (1, 0), (2, 0), (3, 1)]),
     st.sampled_from([(0, 0), (1, 0), (Fraction(1, 2), -3)]),
-    st.sampled_from(_letters(3)),
+    st.sampled_from(letter_window(3)),
     st.tuples(st.integers(0, 4), st.integers(0, 4)),
     st.integers(0, 3),
     st.booleans(),
@@ -256,7 +256,7 @@ def test_basis_images_and_act_letter_apply_one_kernel(lam, a, letter, beta, k, i
     # scope (one kernel per letter, module and type vector) and outside one
     # (a kernel compiled per call). A (None, letter, 1) single reads the
     # image back through pairs_on, keyed by basis keys again.
-    module = gl2_simple(lam)
+    module = Gl2Module(lam)
     key = (beta, k % module.dim)
     w = TVector({key: 1}, a=a, module=module)
     with run_scope() if in_scope else contextlib.nullcontext():
@@ -272,14 +272,14 @@ def test_basis_images_and_act_letter_apply_one_kernel(lam, a, letter, beta, k, i
 def test_equal_weights_share_one_kernel_per_run():
     letter, a = D2, (1, Fraction(1, 2))  # d2 acts through E22, which sees lam2
     with run_scope():
-        inside = _letter_kernel(letter, gl2_simple((2, 0)), a)
-        assert _letter_kernel(letter, gl2_simple((2, 0)), a) is inside
-        assert _letter_kernel(letter, gl2_simple((3, 1)), a) != inside
+        inside = _letter_kernel(letter, Gl2Module((2, 0)), a)
+        assert _letter_kernel(letter, Gl2Module((2, 0)), a) is inside
+        assert _letter_kernel(letter, Gl2Module((3, 1)), a) != inside
     # the scope took its kernels with it: outside one, every call compiles
     assert base._scope_memo is None
-    outside = _letter_kernel(letter, gl2_simple((2, 0)), a)
+    outside = _letter_kernel(letter, Gl2Module((2, 0)), a)
     assert outside == inside and outside is not inside
-    assert _letter_kernel(letter, gl2_simple((2, 0)), a) is not outside
+    assert _letter_kernel(letter, Gl2Module((2, 0)), a) is not outside
 
 
 def displayed_recipe(letter):
@@ -304,7 +304,7 @@ def displayed_recipe(letter):
 def test_recipe_is_the_displayed_formula():
     # the recipes are read off phi and the pi table, in phi's term order;
     # as sorted lists they are the displayed formula
-    for letter in _letters(6):
+    for letter in letter_window(6):
         fields, gl = _letter_recipe(letter)
         expect_fields, expect_gl = displayed_recipe(letter)
         assert sorted(fields) == sorted(expect_fields), letter
@@ -316,7 +316,7 @@ def test_recipe_is_the_displayed_formula():
     [((0, 0), 1), ((1, 0), 2), ((1, 1), 1), ((2, 0), 3), ((3, 1), 3)],
 )
 def test_whittaker_dims(lam, expected):
-    m = gl2_simple(lam)
+    m = Gl2Module(lam)
     for degree in range(0, 5):
         assert len(whittaker_space(m, (1, 1), degree)) == expected
     # singular type: plain derivatives force constants, same count
@@ -324,7 +324,7 @@ def test_whittaker_dims(lam, expected):
 
 
 def test_whittaker_vectors_are_constants():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     for w in whittaker_space(m, (1, 1), 4):
         assert all(beta == (0, 0) for beta, _ in w.terms)
 
@@ -335,23 +335,23 @@ def test_degree_zero_action_on_whittaker_vectors_matches_gl2():
     from sbar2lab.gl2 import pi_letter
 
     for lam in ((1, 0), (2, 0), (3, 1)):
-        m = gl2_simple(lam)
+        m = Gl2Module(lam)
         for letter in (D2, L_letter((0, 0)), L_letter((1, -1)), L_letter((-1, 1))):
             mat = pi_letter(letter).evaluate(m)
             for k in range(m.dim):
                 image = act_letter(letter, basis(m, (1, 1), (0, 0), k))
-                constants = [image.coeff(((0, 0), j)) for j in range(m.dim)]
-                assert constants == [mat[j][k] for j in range(m.dim)]
+                constants = {j: c for (beta, j), c in image.items() if beta == (0, 0)}
+                assert constants == {j: c for (j, col), c in mat.items() if col == k}
 
 
 def test_freeness_examples():
-    assert uh_freeness_check(gl2_simple((1, 0)), (1, 1), 3)["rank"] == 20
-    report = uh_freeness_check(gl2_simple((1, 0)), (1, 1), 0)
+    assert uh_freeness_check(Gl2Module((1, 0)), (1, 1), 3)["rank"] == 20
+    report = uh_freeness_check(Gl2Module((1, 0)), (1, 1), 0)
     assert report["rank"] == 2
-    report = uh_freeness_check(gl2_simple((1, 1)), (1, 1), 2)
+    report = uh_freeness_check(Gl2Module((1, 1)), (1, 1), 2)
     assert report["rank"] == 6 and report["full"]
     with pytest.raises(ValueError):
-        uh_freeness_check(gl2_simple((1, 0)), (1, 0), 2)
+        uh_freeness_check(Gl2Module((1, 0)), (1, 0), 2)
 
 
 def test_sigma_terms_pinned():
@@ -369,7 +369,7 @@ def test_sigma_terms_pinned():
 
 
 def test_sigma_examples():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     w0 = basis(m, (0, 0), (0, 0), 0)
     got = sigma_act(SigmaOp(0, 1, (1, 0), (0, 1)), w0)
     expect = act_letter(L_letter((1, 0)), act_letter(L_letter((0, 1)), w0))
@@ -393,7 +393,7 @@ def test_sigma_suite_dict_path_matches_sigma_act():
     a = (0, 0)
     indices = [(-1, -1), (-1, 1), (0, 0), (1, -1), (2, 0)]
     for lam in ((1, 0), (2, -1)):
-        module = gl2_simple(lam)
+        module = Gl2Module(lam)
         images = BasisImages(module, a)
         keys = [((b1, b2), k) for b1 in range(3) for b2 in range(3 - b1) for k in range(module.dim)]
         nonzero = 0
@@ -411,9 +411,9 @@ def test_sigma_suite_dict_path_matches_sigma_act():
 def test_axiom_pairs_match_the_nested_action():
     # The action-axioms suite sums x(y e_key) - y(x e_key) through
     # BasisImages.pairs_on; compared here with nested act_letter calls.
-    letters = _letters(1)
+    letters = letter_window(1)
     for lam, a in (((1, 0), (1, 1)), ((2, 0), (Fraction(1, 2), 0))):
-        module = gl2_simple(lam)
+        module = Gl2Module(lam)
         images = BasisImages(module, a)
         nonzero = 0
         for x, y in itertools.combinations(letters, 2):
@@ -459,7 +459,7 @@ def test_sigma_search_fails_under_one_bumped_coefficient(monkeypatch):
 
 TYPE_SCALARS = st.one_of(st.just(0), SMALL_SCALARS)
 TRIPLES = st.lists(
-    st.tuples(st.one_of(st.none(), st.sampled_from(_letters(2))), st.sampled_from(_letters(2)), SMALL_SCALARS),
+    st.tuples(st.one_of(st.none(), st.sampled_from(letter_window(2))), st.sampled_from(letter_window(2)), SMALL_SCALARS),
     max_size=5,
 )
 
@@ -475,7 +475,7 @@ def test_pairs_on_is_the_nested_action_sum(lam, a, queries):
     # every query runs on one BasisImages, so later ones read the key ids
     # and table entries earlier ones stored; each query is also run with its
     # negated copy appended, whose sum is zero and must come back as {}
-    module = gl2_simple(lam)
+    module = Gl2Module(lam)
     images = BasisImages(module, a)
     for triples, beta, k in queries:
         triples = triples + triples[:1]  # a repeated (first, second) pair
@@ -495,7 +495,7 @@ def test_pairs_on_is_the_nested_action_sum(lam, a, queries):
 
 
 def test_closure_probe_profiles():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     seed = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (0, 0), 1)
     report = closure_probe(seed, 5, 2)
     assert report["proper"] and not report["full"]
@@ -510,7 +510,7 @@ def test_closure_probe_profiles():
 def test_probes_reject_an_empty_window():
     # a window with no degree in it would report an empty table or a rank
     # of 0 of 0, and all() over nothing reads as full
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     with pytest.raises(ValueError, match="trusted window is empty"):
         closure_probe(basis(m, (1, 1), (0, 0), 0), 2, 3)
     assert closure_probe(basis(m, (1, 1), (0, 0), 0), 2, 2)["table"] == {0: (2, 2)}
@@ -523,11 +523,11 @@ def test_probes_reject_an_empty_window():
 
 
 def test_vector_results_never_share_terms_with_an_operand():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     w = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (1, 0), 1) * Fraction(1, 2)
     v = basis(m, (1, 1), (1, 0), 1)
     results = [w + v, w - v, -w, w * 2, 2 * w, w * 1, w * 0, act_sbar(Sbar.d2(), w)]
-    results += [act_letter(letter, w) for letter in _letters(1)]
+    results += [act_letter(letter, w) for letter in letter_window(1)]
     for r in results:
         assert r.terms is not w.terms and r.terms is not v.terms
         assert r.a == w.a and r.module is m
@@ -560,14 +560,14 @@ def test_closure_probe_reads_rows_without_aliasing_them(monkeypatch):
     monkeypatch.setattr(tmodule, "EchelonSpan", WatchedSpan)
     monkeypatch.setattr(tmodule, "_act_terms", watched_act)
     # a random seed, so later adds do reduce rows that were read already
-    seed = random_seed_vector(gl2_simple((1, 0)), (1, 1), random.Random(0))
+    seed = random_seed_vector(Gl2Module((1, 0)), (1, 1), random.Random(0))
     assert closure_probe(seed, 6, 2)["tracked_rank"] > 20
     assert len(acted) > 20 and all(terms == first for terms, first in acted.values())
 
 
 def test_closure_probe_random_seed_simple_case():
     rng = random.Random(3)
-    m = gl2_simple((1, 1))
+    m = Gl2Module((1, 1))
     terms = {((b1, b2), 0): Fraction(rng.randrange(-2, 3)) for b1 in range(2) for b2 in range(2 - b1)}
     terms = {k: c for k, c in terms.items() if c} or {((0, 0), 0): Fraction(1)}
     report = closure_probe(TVector(terms, a=(1, 1), module=m), 5, 2)
@@ -576,11 +576,11 @@ def test_closure_probe_random_seed_simple_case():
 
 def test_closure_probe_reads_module_and_type_from_the_seed():
     for lam in ((0, 0), (1, 0), (2, 0)):
-        m = gl2_simple(lam)
+        m = Gl2Module(lam)
         report = closure_probe(basis(m, (1, 1), (0, 0), 0), 4, 2)
         assert [amb for _, amb in report["table"].values()] == [(d + 1) * (d + 2) // 2 * m.dim for d in range(3)]
     # the type vector is the seed's: the same constants give different tables
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     tables = {
         (1, 1): {0: (1, 2), 1: (3, 6), 2: (6, 12), 3: (10, 20)},
         (0, 0): {0: (2, 2), 1: (5, 6), 2: (9, 12), 3: (14, 20)},
@@ -607,7 +607,7 @@ def test_closure_fills_the_simple_cases_at_pushed_caps(cap):
 
 @pytest.mark.usefixtures("scoped")
 def test_closure_reducible_table_is_monotone_in_the_cap():
-    m = gl2_simple((1, 0))
+    m = Gl2Module((1, 0))
     seed = basis(m, (1, 1), (0, 0), 0) + basis(m, (1, 1), (0, 0), 1)
     tables = [closure_probe(seed, cap, 2)["table"] for cap in range(6, 13)]
     for low, high in zip(tables, tables[1:]):
@@ -620,7 +620,7 @@ def test_closure_reducible_table_is_monotone_in_the_cap():
 def closure_cases(draw):
     """A seed on T(a, V) for lam in the suites' grid, with a mixing ints,
     Fractions and zeros, and a truncation cap up to 5 above the seed."""
-    module = gl2_simple(draw(st.sampled_from(LAMBDA_GRID)))
+    module = Gl2Module(draw(st.sampled_from(LAMBDA_GRID)))
     a = draw(st.tuples(TYPE_SCALARS, TYPE_SCALARS))
     degree = draw(st.integers(0, 5))
     beta = st.integers(0, degree).flatmap(lambda b1: st.tuples(st.just(b1), st.integers(0, degree - b1)))
@@ -641,7 +641,7 @@ def test_closure_probe_matches_the_vector_oracle(case):
 def test_joint_kernel_checks_the_slice_on_an_ops_summed_image():
     # with a1 = 0, L(0,0) and d2 each move t^beta to t^(beta+e2), with
     # coefficients -a2 and +a2; their sum maps every slice into itself
-    module = gl2_simple((1, 0))
+    module = Gl2Module((1, 0))
     a = (0, 1)
     x = Sbar({L_letter((0, 0)): 1, D2: 1})
     for degree in range(4):
@@ -658,8 +658,8 @@ def test_joint_kernel_matches_the_vector_oracle(lam, a, degree, data):
     # ops are Sbar combinations of letters of degree <= 0, d2 among them,
     # shifted by 0 or an a_i so that kernels are often nonzero; one whose
     # twist raises the degree must leave the slice on both paths
-    module = gl2_simple(lam)
-    x = st.dictionaries(st.sampled_from(_letters(0)), SMALL_SCALARS, min_size=1, max_size=3).map(Sbar)
+    module = Gl2Module(lam)
+    x = st.dictionaries(st.sampled_from(letter_window(0)), SMALL_SCALARS, min_size=1, max_size=3).map(Sbar)
     ops = data.draw(st.lists(st.tuples(x, st.sampled_from((0, *a))), min_size=1, max_size=2))
     vector_ops = [(lambda v, x=x: act_sbar(x, v), scalar) for x, scalar in ops]
     try:

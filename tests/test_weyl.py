@@ -35,16 +35,20 @@ def rand_weyl(rng):
     )
 
 
+# the coordinate functions t1, t2
+T = {1: Weyl.monomial((1, 0), (0, 0)), 2: Weyl.monomial((0, 1), (0, 0))}
+
+
 def test_weyl_mul_examples():
-    assert Weyl.partial(1) * Weyl.t(1) == Weyl.monomial((1, 0), (1, 0)) + Weyl.one()
+    assert Weyl.partial(1) * T[1] == Weyl.monomial((1, 0), (1, 0)) + Weyl.one()
     got = Weyl.monomial((1, 0), (0, 1)) * Weyl.monomial((0, 1), (1, 0))
     assert got == Weyl.monomial((1, 1), (1, 1)) + Weyl.monomial((1, 0), (1, 0))
-    assert Weyl.t(1) * Weyl.t(2) == Weyl.monomial((1, 1), (0, 0))
+    assert T[1] * T[2] == Weyl.monomial((1, 1), (0, 0))
 
 
 def test_weyl_relations_and_associativity():
     for i, j in itertools.product((1, 2), repeat=2):
-        comm = Weyl.partial(i) * Weyl.t(j) - Weyl.t(j) * Weyl.partial(i)
+        comm = Weyl.partial(i) * T[j] - T[j] * Weyl.partial(i)
         assert comm == (Weyl.one() if i == j else Weyl())
     rng = random.Random(1)
     for _ in range(40):
@@ -54,7 +58,7 @@ def test_weyl_relations_and_associativity():
 
 def test_a2a_examples():
     one = A2aVector(Poly2.one(), (1, 1))
-    got = a2a_act(Weyl.partial(1) * Weyl.t(1), one)
+    got = a2a_act(Weyl.partial(1) * T[1], one)
     assert got.poly == Poly2.one() + Poly2.monomial((1, 0))
     t1 = A2aVector(Poly2.monomial((1, 0)), (1, 1))
     got = a2a_act(Weyl.from_vf(VectorField.euler(1)), t1)
