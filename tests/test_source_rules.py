@@ -717,5 +717,8 @@ def test_gl2_modules_have_no_dense_matrix_form():
     # wh_action_compare builds the module route's matrix in the same sparse
     # form, not as [0] * n columns transposed into a tuple of tuples
     assert _dense_column_sites(MODULES["centralizer.py"]) == []
-    planted = "col = [0] * n\nmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))\nrow = tuple(x for x in col)\n"
+    planted = (
+        "col = [0] * n\nmat = tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))\n"
+        "row = tuple(x for x in col)\n"
+    )
     assert _dense_column_sites(ast.parse(planted)) == [1, 2]
