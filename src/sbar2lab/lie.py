@@ -148,14 +148,14 @@ class VectorField(LinComb):
 
 
 def _vf_key_bracket(k1, k2):
-    (a, i), (b, j) = k1, k2
+    ((a1, a2), i), ((b1, b2), j) = k1, k2
     out = []
-    c1 = b[i - 1]
+    c1 = b1 if i == 1 else b2
     if c1:
-        out.append(((msub(madd(a, b), E1 if i == 1 else E2), j), c1))
-    c2 = a[j - 1]
+        out.append((((a1 + b1 - 1, a2 + b2) if i == 1 else (a1 + b1, a2 + b2 - 1), j), c1))
+    c2 = a1 if j == 1 else a2
     if c2:
-        out.append(((msub(madd(a, b), E1 if j == 1 else E2), i), -c2))
+        out.append((((a1 + b1 - 1, a2 + b2) if j == 1 else (a1 + b1, a2 + b2 - 1), i), -c2))
     return out
 
 

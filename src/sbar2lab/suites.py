@@ -125,19 +125,22 @@ def _display_cases(name: str, lhs: str, texts: dict, value, expected) -> list:
 # Each builder returns a list of (name, anchor, provenance, thunk); a thunk
 # returns (status, witness).
 
-def _letter_elements(groups) -> tuple:
-    """Each letter occurring in ``groups`` as an ``Sbar`` and as a field,
-    built once per case: two dicts keyed by letter."""
-    sb = {l: Sbar({l: 1}) for l in {l for group in groups for l in group}}
+def _letter_elements(letters) -> tuple:
+    """Each of ``letters`` as an ``Sbar`` and as a field, built once per run:
+    two dicts keyed by letter."""
+    sb = {l: Sbar({l: 1}) for l in letters}
     return sb, {l: sbar_to_vf(s) for l, s in sb.items()}
 
 
 def _suite_jacobi(max_degree: int, rng) -> list:
+    letters = letter_window(max_degree)
+    sb, vf = _letter_elements(letters)
+    routes = (("letters", sbar_bracket_sum, sb), ("fields", vf_bracket_sum, vf))
+
     def check(trios):
-        # per case, each letter's element and field and each inner bracket
-        # once; each route's cyclic sum is one pair-list bracket
-        sb, vf = _letter_elements(trios)
-        routes = (("letters", sbar_bracket_sum, sb), ("fields", vf_bracket_sum, vf))
+        # per case, each inner bracket once (shared across cases they would
+        # double the pushed-degree peak); each route's cyclic sum is one
+        # pair-list bracket
         inner: dict = {}  # (y, z) -> ([y,z] on letters, [y,z] on fields)
         for x, y, z in trios:
             for p, q in ((y, z), (z, x), (x, y)):
@@ -154,14 +157,16 @@ def _suite_jacobi(max_degree: int, rng) -> list:
         "[x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 on both bracket routes",
         "axiom-sweep",
         check,
-        itertools.combinations_with_replacement(letter_window(max_degree), 3),
+        itertools.combinations_with_replacement(letters, 3),
         lambda trio: tuple(sorted(letter_degree(l) for l in trio)),
     )
 
 
 def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
+    letters = letter_window(max_degree)
+    sb, vf = _letter_elements(letters)
+
     def check(pairs):
-        sb, vf = _letter_elements(pairs)
         for x, y in pairs:
             via_letters = sbar_bracket(sb[x], sb[y])
             via_fields = vf_bracket(vf[x], vf[y])
@@ -176,7 +181,7 @@ def _suite_bracket_crosscheck(max_degree: int, rng) -> list:
         "determinant structure constants agree with the field bracket",
         "cross-check",
         check,
-        itertools.combinations_with_replacement(letter_window(max_degree), 2),
+        itertools.combinations_with_replacement(letters, 2),
         lambda pair: tuple(sorted(letter_degree(l) for l in pair)),
     )
 
@@ -305,20 +310,21 @@ def _suite_phi_hom(max_degree: int, rng) -> list:
 
 
 def _suite_action_axioms(max_degree: int, rng) -> list:
-    letters = letter_window(max_degree)
+    # per letter pair, x(y e_key) - y(x e_key) - [x,y] e_key as one operator,
+    # the bracket's letters as (None, z, -c) singles; built once per run
+    operators = [
+        (x, y, [(x, y, 1), (y, x, -1)] + [(None, z, -c) for z, c in sbar_bracket(Sbar({x: 1}), Sbar({y: 1})).items()])
+        for x, y in itertools.combinations(letter_window(max_degree), 2)
+    ]
 
     def check(lam, a):
         module = Gl2Module(lam)
         images = BasisImages(module, a)
         keys = slice_keys(module, 4)
         checked = 0
-        for x, y in itertools.combinations(letters, 2):
-            # x(y e_key) - y(x e_key) - [x,y] e_key, the bracket's
-            # letters as (None, z, -c) singles
-            bracket = sbar_bracket(Sbar({x: 1}), Sbar({y: 1}))
-            terms = [(x, y, 1), (y, x, -1)] + [(None, z, -c) for z, c in bracket.terms.items()]
-            for key in keys:
-                if images.pairs_on(terms, key):
+        for x, y, terms in operators:
+            for key, total in images.pairs_on(terms, keys):
+                if total:
                     return FAIL, {
                         "pair": [str(Sbar({x: 1})), str(Sbar({y: 1}))],
                         "vector": str(TVector({key: 1}, a=a, module=module)),
@@ -401,11 +407,10 @@ def _suite_sigma(max_degree: int, rng) -> list:
         def annihilates(m: int) -> bool:
             for j in (1, 2):
                 for beta in indices:
-                    ops = [sigma_terms(SigmaOp(m, j, alpha, beta)) for alpha in indices]
-                    for key in keys:
-                        for terms in ops:
-                            if images.pairs_on(terms, key):
-                                return False
+                    for alpha in indices:
+                        terms = sigma_terms(SigmaOp(m, j, alpha, beta))
+                        if any(total for _, total in images.pairs_on(terms, keys)):
+                            return False
             return True
 
         for m in range(m_cap + 1):
@@ -416,7 +421,8 @@ def _suite_sigma(max_degree: int, rng) -> list:
     def sigma_on(op: SigmaOp, key) -> TVector:
         # the operator on the basis vector at key, through the search's own path
         module = Gl2Module(lam)
-        return TVector(BasisImages(module, (0, 0)).pairs_on(sigma_terms(op), key), a=(0, 0), module=module)
+        ((_, total),) = BasisImages(module, (0, 0)).pairs_on(sigma_terms(op), [key])
+        return TVector(total, a=(0, 0), module=module)
 
     def example():
         got = sigma_on(SigmaOp(1, 1, (0, 0), (0, 0)), ((0, 0), 0))

@@ -21,7 +21,9 @@ and ``_act_terms`` is the one loop applying it to term dicts: ``act_letter``
 on one letter, ``act_sbar`` on a Lie element, with one vector per call, and
 ``BasisImages`` on basis keys, whose images it keeps for one check or one
 search under small int key ids; the action is linear, so they determine
-every letter product, and ``pairs_on`` sums those products over the ids.
+every letter product. ``pairs_on`` applies one operator, a sum of such
+products, to a slice of basis keys, looking each letter's table up once per
+call and summing over the ids.
 The rank probes (``closure_probe``, ``joint_kernel``, ``uh_freeness_check``)
 fetch their letters' kernels once per call and apply them with
 ``_act_terms`` on plain term dicts, which go straight into ``EchelonSpan``.
@@ -159,7 +161,8 @@ class BasisImages:
     memoized for the lifetime of one check or one search in one table per
     letter. Every basis key reached gets a small int id, so a table maps a
     key id to its image as a tuple of ``(key id, coeff)`` pairs, and the
-    products summed in ``pairs_on`` hash ints instead of nested key tuples."""
+    products that ``pairs_on`` sums over a key slice hash ints instead of
+    nested key tuples."""
 
     __slots__ = ("module", "a", "_tables", "_kernels", "_ids", "_keys")
 
@@ -188,35 +191,38 @@ class BasisImages:
         res = self._tables[letter][self._id(key)] = tuple((self._id(k), c) for k, c in terms.items())
         return res
 
-    def pairs_on(self, terms, key: TKey) -> dict:
-        """sum of coeff * L_first L_second e_key over ``(first, second, coeff)``
-        triples, as in ``sigma_terms``, with a ``None`` first letter adding
-        coeff * L_second e_key: the inner image, then the outer one, each read
-        from its letter's table and computed there on a miss. The sum runs
-        over key ids and is translated back to keys only when it is nonzero."""
+    def pairs_on(self, terms, keys):
+        """Yield ``(key, sum)`` for each key of the slice ``keys``, in order,
+        the sum being that of coeff * L_first L_second e_key over
+        ``(first, second, coeff)`` triples, as in ``sigma_terms``, with a
+        ``None`` first letter adding coeff * L_second e_key: the inner image,
+        then the outer one, each read from its letter's table and computed
+        there on a miss. Each triple's two tables are looked up once per call;
+        the sum runs over key ids and is translated back to keys only when it
+        is nonzero."""
         tables = self._tables
-        kid = self._id(key)
-        total: dict = {}
-        for first, second, coeff in terms:
-            inner = tables[second].get(kid)
-            if inner is None:
-                inner = self.image(second, key)
-            if first is None:
+        key_of = self._keys
+        resolved = [(coeff, second, tables[second], first, None if first is None else tables[first])
+                    for first, second, coeff in terms]
+        for key in keys:
+            kid = self._id(key)
+            total: dict = {}
+            for coeff, second, inner_table, first, outer in resolved:
+                inner = inner_table.get(kid)
+                if inner is None:
+                    inner = self.image(second, key)
+                if outer is None:
+                    for k1, c1 in inner:
+                        accumulate(total, k1, coeff * c1)
+                    continue
                 for k1, c1 in inner:
-                    accumulate(total, k1, coeff * c1)
-                continue
-            outer = tables[first]
-            for k1, c1 in inner:
-                f = coeff * c1
-                img = outer.get(k1)
-                if img is None:
-                    img = self.image(first, self._keys[k1])
-                for k2, c2 in img:
-                    accumulate(total, k2, f * c2)
-        if not total:
-            return total
-        keys = self._keys
-        return {keys[k]: as_scalar(c) for k, c in total.items()}
+                    f = coeff * c1
+                    img = outer.get(k1)
+                    if img is None:
+                        img = self.image(first, key_of[k1])
+                    for k2, c2 in img:
+                        accumulate(total, k2, f * c2)
+            yield key, ({key_of[k]: as_scalar(c) for k, c in total.items()} if total else total)
 
 
 def act_sbar(x: Sbar, w: TVector) -> TVector:

@@ -69,7 +69,7 @@ def test_basis_images_sums_are_canonical():
     # pairs_on sums raw table coefficients, so two halves of an integral
     # value are coerced when the sum is translated back to keys
     images = BasisImages(Gl2Module((1, 0)), (1, 1))
-    got = images.pairs_on([(D2, D2, Fraction(1, 2))] * 2, ((0, 1), 0))
+    ((_, got),) = images.pairs_on([(D2, D2, Fraction(1, 2))] * 2, [((0, 1), 0)])
     assert got == {((0, 1), 0): 1, ((0, 2), 0): 3, ((0, 3), 0): 1}
     assert {_kind(c) for c in got.values()} == {"int"}
 

@@ -262,7 +262,7 @@ def test_basis_images_and_act_letter_apply_one_kernel(lam, a, letter, beta, k, i
     with run_scope() if in_scope else contextlib.nullcontext():
         images = BasisImages(module, a)
         image = images.image(letter, key)
-        got = images.pairs_on(((None, letter, 1),), key)
+        ((_, got),) = images.pairs_on(((None, letter, 1),), [key])
         assert got == act_letter(letter, w).terms == act_tensoralg(phi_letter(letter), w).terms
     assert len(image) == len(got)
     # the images skip LinComb's coercion, so their scalars must be canonical
@@ -387,9 +387,10 @@ def test_sigma_examples():
 @pytest.mark.usefixtures("scoped")
 def test_sigma_suite_dict_path_matches_sigma_act():
     # The sigma-annihilation suite does not call sigma_act: it sums the
-    # sigma_terms of an operator on a basis key through BasisImages.pairs_on
-    # (inner image, then outer image). That path is compared here with
-    # sigma_act on the suite's type vector and degree-2 slice.
+    # sigma_terms of an operator on the basis keys of a slice through
+    # BasisImages.pairs_on (inner image, then outer image). That path is
+    # compared here with sigma_act on the suite's type vector and degree-2
+    # slice, key by key.
     a = (0, 0)
     indices = [(-1, -1), (-1, 1), (0, 0), (1, -1), (2, 0)]
     for lam in ((1, 0), (2, -1)):
@@ -399,10 +400,10 @@ def test_sigma_suite_dict_path_matches_sigma_act():
         nonzero = 0
         for m, j, alpha, beta in itertools.product(range(3), (1, 2), indices, indices):
             op = SigmaOp(m, j, alpha, beta)
-            terms = sigma_terms(op)
-            for key in keys:
+            sums = images.pairs_on(sigma_terms(op), keys)
+            for key, (at, total) in zip(keys, sums, strict=True):
                 got = sigma_act(op, TVector({key: 1}, a=a, module=module))
-                assert images.pairs_on(terms, key) == got.terms, (lam, op, key)
+                assert at == key and total == got.terms, (lam, op, key)
                 nonzero += bool(got.terms)
         assert nonzero > 100  # the comparison is not between zeros
 
@@ -416,11 +417,13 @@ def test_axiom_pairs_match_the_nested_action():
         module = Gl2Module(lam)
         images = BasisImages(module, a)
         nonzero = 0
+        keys = slice_keys(module, 2)
         for x, y in itertools.combinations(letters, 2):
-            for key in slice_keys(module, 2):
+            sums = images.pairs_on(((x, y, 1), (y, x, -1)), keys)
+            for key, (at, total) in zip(keys, sums, strict=True):
                 w = TVector({key: 1}, a=a, module=module)
                 expect = act_letter(x, act_letter(y, w)) - act_letter(y, act_letter(x, w))
-                assert images.pairs_on(((x, y, 1), (y, x, -1)), key) == expect.terms, (lam, x, y, key)
+                assert at == key and total == expect.terms, (lam, x, y, key)
                 nonzero += bool(expect.terms)
         assert nonzero > 100  # the comparison is not between zeros
 
@@ -485,9 +488,9 @@ def test_pairs_on_is_the_nested_action_sum(lam, a, queries):
         for first, second, coeff in triples:
             v = act_letter(second, w)
             expect = expect + (v if first is None else act_letter(first, v)) * coeff
-        got = images.pairs_on(triples, key)
+        ((_, got),) = images.pairs_on(triples, [key])
         assert got == expect.terms, (triples, key)
-        cancelled = images.pairs_on(triples + [(f, s, -c) for f, s, c in triples], key)
+        ((_, cancelled),) = images.pairs_on(triples + [(f, s, -c) for f, s, c in triples], [key])
         assert cancelled == {}
     for table in images._tables.values():
         for entry in table.values():
