@@ -298,6 +298,21 @@ def test_derivation_action():
     assert apply_to_poly(VectorField.partial(1), Poly2.monomial((1, 0))) == Poly2.one()
 
 
+SCALARS = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+EXPONENTS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+FIELDS = st.dictionaries(st.tuples(EXPONENTS, st.sampled_from((1, 2))), SCALARS, max_size=4).map(VectorField)
+POLYS = st.dictionaries(EXPONENTS, SCALARS, max_size=4).map(Poly2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(FIELDS, FIELDS, POLYS)
+def test_field_bracket_is_the_commutator_of_derivations(x, y, p):
+    # the right side acts with each field as a derivation on p and never
+    # calls the monomial bracket that vf_bracket sums on the left
+    lhs = apply_to_poly(vf_bracket(x, y), p)
+    assert lhs == apply_to_poly(x, apply_to_poly(y, p)) - apply_to_poly(y, apply_to_poly(x, p))
+
+
 def test_l_indices_is_the_filtered_grid_in_degree_order():
     for lo in range(-1, 7):
         for hi in range(-1, 7):

@@ -264,6 +264,105 @@ def test_suites_evaluate_letter_products_through_basis_images():
     assert all(_calls(tree, "BasisImages") and _calls(tree, "pairs_on") for tree in suites)
 
 
+def _loop_heads_and_bodies(node) -> list:
+    """``(target, iterable, body nodes)`` for each loop level of a ``for``
+    statement or a comprehension; a comprehension's later iterables, its
+    conditions and its element run inside its earlier loops."""
+    if isinstance(node, ast.For):
+        return [(node.target, node.iter, node.body)]
+    if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+        return []
+    elt = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+    gens = node.generators
+    return [
+        (gen.target, gen.iter, gen.ifs + [part for later in gens[i + 1 :] for part in (later.iter, *later.ifs)] + elt)
+        for i, gen in enumerate(gens)
+    ]
+
+
+def _pairs_on_in_key_loops(tree) -> list:
+    """Lines of ``pairs_on`` calls inside a loop over basis keys: a loop over
+    ``keys`` or ``slice_keys(...)``, or one whose variable the call's key
+    argument reads."""
+    lines = set()
+    for loop in ast.walk(tree):
+        for target, iterable, body in _loop_heads_and_bodies(loop):
+            bound = {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+            over_keys = bool(_names(iterable, ("keys",)) or _calls(iterable, "slice_keys"))
+            for call in (c for part in body for c in _calls(part, "pairs_on")):
+                read = {n.id for arg in call.args[1:] for n in ast.walk(arg) if isinstance(n, ast.Name)}
+                if over_keys or read & bound:
+                    lines.add(call.lineno)
+    return sorted(lines)
+
+
+def test_pairs_on_takes_the_whole_key_slice():
+    # pairs_on looks each letter's table up once per call, so a suite hands
+    # it the key slice and reads the (key, sum) pairs back, rather than
+    # calling it once per basis key
+    assert _pairs_on_in_key_loops(MODULES["suites.py"]) == []
+    planted = (
+        "def f(images, ops, keys, module):\n"
+        "    for key in keys:\n"
+        "        for terms in ops:\n"
+        "            if images.pairs_on(terms, key):\n"
+        "                return False\n"
+        "    for beta in slice_keys(module, 2):\n"
+        "        images.pairs_on(ops[0], [beta])\n"
+        "    for terms in ops:\n"
+        "        for key, total in images.pairs_on(terms, keys):\n"
+        "            pass\n"
+        "    return [t for k in slice_keys(module, 1) for _, t in images.pairs_on(ops[0], [k])], any(\n"
+        "        t for _, t in images.pairs_on(ops[1], keys))\n"
+    )
+    assert _pairs_on_in_key_loops(ast.parse(planted)) == [4, 7, 11]
+
+
+def _letter_data_in_checks(builder) -> list:
+    """Lines, inside the functions nested in a suite builder, of calls that
+    build letter data: ``_letter_elements``, an ``Sbar`` constructor, or
+    ``sbar_to_vf`` on anything but a bracket result the function assigned
+    to a name itself (the cross-check's own conversion)."""
+    lines = set()
+    for check in ast.walk(builder):
+        if check is builder or not isinstance(check, ast.FunctionDef):
+            continue
+        brackets = {
+            target.id
+            for node in ast.walk(check)
+            if isinstance(node, ast.Assign) and _is_bracket_call(node.value)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        lines.update(call.lineno for name in ("_letter_elements", "Sbar") for call in _calls(check, name))
+        lines.update(
+            call.lineno
+            for call in _calls(check, "sbar_to_vf")
+            if not (len(call.args) == 1 and isinstance(call.args[0], ast.Name) and call.args[0].id in brackets)
+        )
+    return sorted(lines)
+
+
+def test_bracket_suites_build_letter_data_once_per_run():
+    # jacobi and bracket-crosscheck build their letters' Sbar elements and
+    # fields in the builder, which runs once per run, not in a case check
+    for name in ("_suite_jacobi", "_suite_bracket_crosscheck"):
+        builder = _function("suites.py", name)
+        assert _letter_data_in_checks(builder) == [] and _calls(builder, "_letter_elements"), name
+    planted = (
+        "def _suite(max_degree, rng):\n"
+        "    sb, vf = _letter_elements(letter_window(max_degree))\n"
+        "    def check(trios):\n"
+        "        sb, vf = _letter_elements(trios)\n"
+        "        x = sbar_to_vf(Sbar({D2: 1}))\n"
+        "        via = sbar_bracket(sb[D2], x)\n"
+        "        y = sbar_to_vf(via)\n"
+        "        return y == sbar_to_vf(sb[D2])\n"
+        "    return check\n"
+    )
+    assert _letter_data_in_checks(ast.parse(planted).body[0]) == [4, 5, 8]
+
+
 def _is_bracket_call(node) -> bool:
     if not isinstance(node, ast.Call):
         return False
